@@ -9,9 +9,6 @@
 //   --csv         additionally dump each table as CSV to stdout
 //   --json PATH   write a `geacc-bench v1` machine-readable report
 //                 (src/obs/bench_report.h) for CI perf baselines
-//   --index NAME  k-NN backend for Greedy's cursors; "idistance-paged"
-//                 runs them out of core under --storage_budget_mb MiB of
-//                 buffer-pool memory (page files in --storage_dir)
 //   --simd MODE   batched-kernel dispatch: auto (default), avx2, scalar
 //   --fp MODE     kernel FP policy: strict (default) or fast
 //   --bound NAME  exact-solver pruning bound: lemma6, clique (default),
@@ -51,12 +48,6 @@ struct CommonFlags {
   // full violation list on failure. Adds an O(|V||U|) scan per run, so
   // times measured under --selfcheck are not comparable to baselines.
   bool selfcheck = false;
-  // Storage knobs (SolverOptions::index & friends, DESIGN.md §14):
-  // --index idistance-paged routes Greedy's cursors through the
-  // disk-backed backend with --storage_budget_mb of buffer-pool memory.
-  std::string index;  // empty = solver default ("linear")
-  int64_t storage_budget_mb = 16;
-  std::string storage_dir;
   // SIMD kernel knobs (DESIGN.md §15): --simd pins the dispatch level of
   // the batched similarity kernels, --fp picks the solver FP policy.
   std::string simd = "auto";
@@ -83,15 +74,6 @@ struct CommonFlags {
     flags.AddBool("selfcheck", &selfcheck,
                   "audit every arrangement with src/verify (all violation "
                   "classes + maximality); slows runs, do not baseline");
-    flags.AddString("index", &index,
-                    "k-NN backend for Greedy's cursors: linear, kdtree, "
-                    "vafile, idistance, idistance-paged (default: solver "
-                    "default)");
-    flags.AddInt("storage_budget_mb", &storage_budget_mb,
-                 "idistance-paged only: buffer-pool budget in MiB");
-    flags.AddString("storage_dir", &storage_dir,
-                    "idistance-paged only: directory for the temporary "
-                    "page files (default: TMPDIR or /tmp)");
     flags.AddString("simd", &simd,
                     "batched-kernel dispatch: auto (cpuid pick, default), "
                     "avx2, or scalar; forcing an unavailable level fails "
@@ -106,16 +88,12 @@ struct CommonFlags {
                     "only search effort changes");
   }
 
-  // Copies the storage/kernel flags into a solver-options struct; benches
-  // call this on SweepConfig::solver_options (or a hand-rolled
-  // SolverOptions) so --index idistance-paged and --fp reach every solver
-  // they run. Also applies --simd to the process-wide dispatch override
-  // (fail-fast on an unavailable level).
+  // Copies the kernel and bound flags into a solver-options struct;
+  // benches call this on SweepConfig::solver_options (or a hand-rolled
+  // SolverOptions) so --fp and --bound reach every solver they run. Also
+  // applies --simd to the process-wide dispatch override (fail-fast on
+  // an unavailable level).
   void ApplySolverOptions(SolverOptions* options) const {
-    if (!index.empty()) options->index = index;
-    options->storage_budget_bytes =
-        static_cast<uint64_t>(storage_budget_mb) << 20;
-    options->storage_dir = storage_dir;
     options->fp_mode = fp;
     options->bound = bound;
     std::string error;
@@ -152,7 +130,8 @@ inline void RequireSerial(const CommonFlags& common, const char* bench) {
 
 // Accumulates sweep results into a `geacc-bench v1` report and writes it
 // when --json was given. One context per binary; AddSweep() after each
-// RunSweep, AddPoint() for hand-rolled measurement loops, Write() last.
+// RunSweep, AddRepetitions() for hand-rolled RunSolver loops, AddPoint()
+// for other measurements, Write() last.
 class ReportContext {
  public:
   ReportContext(const std::string& bench, const FlagSet& flags,
@@ -167,51 +146,60 @@ class ReportContext {
 
   // Appends one point per (sweep point × solver), averaged over reps.
   // Labels are "<sweep title>/<x label>" so multi-sweep benches stay
-  // unambiguous in one report. VmHWM is the process high-water mark at
-  // call time (monotonic, so later sweeps subsume earlier ones).
+  // unambiguous in one report.
   void AddSweep(const SweepConfig& config, const SweepResult& result) {
-    const int64_t vm_hwm = static_cast<int64_t>(PeakRssBytes());
     for (size_t p = 0; p < result.records.size(); ++p) {
       for (size_t s = 0; s < result.records[p].size(); ++s) {
-        const auto& reps = result.records[p][s];
-        if (reps.empty()) continue;
-        obs::BenchPoint point;
-        point.label = config.title + "/" + result.x_labels[p];
-        point.solver = config.solvers[s];
-        point.vm_hwm_bytes = vm_hwm;
-        std::map<std::string, double> counter_sums;
-        std::map<std::string, obs::TimerStat> timer_sums;
-        for (const RunRecord& record : reps) {
-          point.wall_seconds += record.seconds;
-          point.cpu_seconds += record.cpu_seconds;
-          point.max_sum += record.max_sum;
-          for (const auto& [name, value] : record.counters) {
-            counter_sums[name] += static_cast<double>(value);
-          }
-          for (const auto& [name, stat] : record.timers) {
-            timer_sums[name].seconds += stat.seconds;
-            timer_sums[name].count += stat.count;
-          }
-        }
-        const double n = static_cast<double>(reps.size());
-        point.wall_seconds /= n;
-        point.cpu_seconds /= n;
-        point.max_sum /= n;
-        for (const auto& [name, sum] : counter_sums) {
-          point.counters[name] = static_cast<int64_t>(std::llround(sum / n));
-        }
-        for (const auto& [name, sum] : timer_sums) {
-          point.timers[name] = {sum.seconds / n,
-                                static_cast<int64_t>(std::llround(
-                                    static_cast<double>(sum.count) / n))};
-        }
-        report_.points.push_back(std::move(point));
+        AddRepetitions(config.title + "/" + result.x_labels[p],
+                       config.solvers[s], result.records[p][s]);
       }
     }
   }
 
-  // For benches that measure outside RunSweep. The caller fills
-  // everything except vm_hwm_bytes, which is stamped here.
+  // Appends one point for the repetitions of one (label, solver) cell:
+  // wall/CPU seconds, MaxSum and timer seconds are means; counters and
+  // timer counts are means rounded to the nearest integer. For benches
+  // that run their own repetition loops as well as for AddSweep. No-op
+  // when `reps` is empty.
+  void AddRepetitions(const std::string& label, const std::string& solver,
+                      const std::vector<RunRecord>& reps) {
+    if (reps.empty()) return;
+    obs::BenchPoint point;
+    point.label = label;
+    point.solver = solver;
+    std::map<std::string, double> counter_sums;
+    std::map<std::string, obs::TimerStat> timer_sums;
+    for (const RunRecord& record : reps) {
+      point.wall_seconds += record.seconds;
+      point.cpu_seconds += record.cpu_seconds;
+      point.max_sum += record.max_sum;
+      for (const auto& [name, value] : record.counters) {
+        counter_sums[name] += static_cast<double>(value);
+      }
+      for (const auto& [name, stat] : record.timers) {
+        timer_sums[name].seconds += stat.seconds;
+        timer_sums[name].count += stat.count;
+      }
+    }
+    const double n = static_cast<double>(reps.size());
+    point.wall_seconds /= n;
+    point.cpu_seconds /= n;
+    point.max_sum /= n;
+    for (const auto& [name, sum] : counter_sums) {
+      point.counters[name] = static_cast<int64_t>(std::llround(sum / n));
+    }
+    for (const auto& [name, sum] : timer_sums) {
+      point.timers[name] = {sum.seconds / n,
+                            static_cast<int64_t>(std::llround(
+                                static_cast<double>(sum.count) / n))};
+    }
+    AddPoint(std::move(point));
+  }
+
+  // For benches that measure outside RunSolver. The caller fills
+  // everything except vm_hwm_bytes, which is stamped here: VmHWM is the
+  // process high-water mark at call time (monotonic, so later points
+  // subsume earlier ones).
   void AddPoint(obs::BenchPoint point) {
     point.vm_hwm_bytes = static_cast<int64_t>(PeakRssBytes());
     report_.points.push_back(std::move(point));

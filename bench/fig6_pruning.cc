@@ -118,59 +118,44 @@ int main(int argc, char** argv) {
     depth_table.AddRow(depth_row);
 
     // 6b–d on (5,10): prune (clique) vs prune-lemma6 vs exhaustive.
-    struct Accum {
+    struct Series {
       const char* report_name;
       const geacc::Solver* solver;
-      double time = 0.0, cpu = 0.0, sum = 0.0;
-      double complete = 0.0, invocations = 0.0;
-      std::map<std::string, int64_t> counters;
+      std::vector<geacc::RunRecord> runs;
     };
-    Accum series[] = {{"prune", prune.get(), 0.0, 0.0, 0.0, 0.0, 0.0, {}},
-                      {"prune-lemma6", lemma6.get(), 0.0, 0.0, 0.0, 0.0, 0.0,
-                       {}},
-                      {"exhaustive", exhaustive.get(), 0.0, 0.0, 0.0, 0.0,
-                       0.0, {}}};
+    Series series[] = {{"prune", prune.get(), {}},
+                       {"prune-lemma6", lemma6.get(), {}},
+                       {"exhaustive", exhaustive.get(), {}}};
     for (int rep = 0; rep < common.reps; ++rep) {
       const geacc::Instance instance =
           make_instance({5, 10}, density, rep);
-      for (Accum& a : series) {
-        const geacc::RunRecord r =
-            geacc::RunSolver(*a.solver, instance, common.selfcheck);
-        a.time += r.seconds;
-        a.cpu += r.cpu_seconds;
-        a.sum += r.max_sum;
-        a.complete += static_cast<double>(r.stats.complete_searches);
-        a.invocations += static_cast<double>(r.stats.search_invocations);
-        for (const auto& [name, value] : r.counters) {
-          a.counters[name] += value;
-        }
-        any_truncated |= r.stats.search_truncated;
+      for (Series& s : series) {
+        s.runs.push_back(
+            geacc::RunSolver(*s.solver, instance, common.selfcheck));
+        any_truncated |= s.runs.back().stats.search_truncated;
       }
     }
-    const double n = common.reps;
-    time_table.AddRow({label, geacc::StrFormat("%.5f", series[0].time / n),
-                       geacc::StrFormat("%.5f", series[1].time / n),
-                       geacc::StrFormat("%.5f", series[2].time / n)});
-    complete_table.AddRow(
-        {label, geacc::StrFormat("%.0f", series[0].complete / n),
-         geacc::StrFormat("%.0f", series[1].complete / n),
-         geacc::StrFormat("%.0f", series[2].complete / n)});
-    invocation_table.AddRow(
-        {label, geacc::StrFormat("%.0f", series[0].invocations / n),
-         geacc::StrFormat("%.0f", series[1].invocations / n),
-         geacc::StrFormat("%.0f", series[2].invocations / n)});
-
-    for (const Accum& a : series) {
-      geacc::obs::BenchPoint point;
-      point.label = "rho=" + label;
-      point.solver = a.report_name;
-      point.wall_seconds = a.time / n;
-      point.cpu_seconds = a.cpu / n;
-      point.max_sum = a.sum / n;
-      for (const auto& [counter, total] : a.counters) {
-        point.counters[counter] = total / common.reps;
+    // One table row: `field`'s mean over reps, per series.
+    auto add_row = [&](geacc::Table& table, const char* format,
+                       double (*field)(const geacc::RunRecord&)) {
+      std::vector<std::string> row = {label};
+      for (const Series& s : series) {
+        double sum = 0.0;
+        for (const geacc::RunRecord& r : s.runs) sum += field(r);
+        row.push_back(geacc::StrFormat(format, sum / common.reps));
       }
-      report.AddPoint(std::move(point));
+      table.AddRow(row);
+    };
+    add_row(time_table, "%.5f",
+            [](const geacc::RunRecord& r) { return r.seconds; });
+    add_row(complete_table, "%.0f", [](const geacc::RunRecord& r) {
+      return static_cast<double>(r.stats.complete_searches);
+    });
+    add_row(invocation_table, "%.0f", [](const geacc::RunRecord& r) {
+      return static_cast<double>(r.stats.search_invocations);
+    });
+    for (const Series& s : series) {
+      report.AddRepetitions("rho=" + label, s.report_name, s.runs);
     }
   }
 

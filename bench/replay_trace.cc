@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   int mutations = 2000, events = 50, users = 1000, dim = 8;
   int64_t seed = 42, budget = 0;
   double drift = 0.1;
-  std::string index = "linear", fallback = "greedy";
+  std::string fallback = "greedy";
   int check_every = 1, sample_full_every = 500;
   bool oracle = true, csv = false;
   std::string json_path;
@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
   flags.AddInt("budget", &budget, "repair budget (cursor steps; 0 = off)");
   flags.AddDouble("drift", &drift,
                   "full-resolve drift threshold (<=0 disables)");
-  flags.AddString("index", &index, "k-NN backend for refill cursors");
   flags.AddString("fallback", &fallback, "full re-solve solver");
   flags.AddInt("check-every", &check_every,
                "validate feasibility every K mutations (0 = never)");
@@ -89,7 +88,6 @@ int main(int argc, char** argv) {
 
   geacc::DynamicInstance instance(trace->initial);
   geacc::RepairOptions options;
-  options.index = index;
   options.repair_budget = budget;
   options.drift_threshold = drift;
   options.fallback_solver = fallback;
@@ -163,8 +161,7 @@ int main(int argc, char** argv) {
   std::cout << "final " << instance.DebugString() << "\n";
   std::cout << churn.DebugString() << "\n";
 
-  geacc::Table table("Trace replay (" + index + " index, fallback " +
-                     fallback + ")");
+  geacc::Table table("Trace replay (fallback " + fallback + ")");
   table.SetHeader({"metric", "value"});
   table.AddRow({"mutations", geacc::StrFormat("%lld",
                                               (long long)churn.mutations)});

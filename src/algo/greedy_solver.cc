@@ -6,9 +6,9 @@
 #include <unordered_set>
 #include <vector>
 
-#include "index/idistance_paged.h"
 #include "index/knn_index.h"
 #include "obs/stats.h"
+#include "util/check.h"
 #include "util/memory.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -43,6 +43,20 @@ struct GreedyState {
 }  // namespace
 
 SolveResult GreedySolver::Solve(const Instance& instance) const {
+  return SolveImpl(instance, nullptr, nullptr);
+}
+
+SolveResult GreedySolver::SolveOver(const Instance& instance,
+                                    const KnnIndex& user_index,
+                                    const KnnIndex& event_index) const {
+  GEACC_CHECK_EQ(user_index.num_points(), instance.num_users());
+  GEACC_CHECK_EQ(event_index.num_points(), instance.num_events());
+  return SolveImpl(instance, &user_index, &event_index);
+}
+
+SolveResult GreedySolver::SolveImpl(const Instance& instance,
+                                    const KnnIndex* user_index,
+                                    const KnnIndex* event_index) const {
   WallTimer timer;
   SolverStats stats;
   const int num_events = instance.num_events();
@@ -53,17 +67,18 @@ SolveResult GreedySolver::Solve(const Instance& instance) const {
     return {std::move(matching), stats};
   }
 
-  StorageOptions storage;
-  storage.budget_bytes = options_.storage_budget_bytes;
-  storage.dir = options_.storage_dir;
-  const std::unique_ptr<KnnIndex> user_index =
-      MakeIndex(options_.index, instance.user_attributes(),
-                instance.similarity(), storage);
-  const std::unique_ptr<KnnIndex> event_index =
-      MakeIndex(options_.index, instance.event_attributes(),
-                instance.similarity(), storage);
-  GEACC_CHECK(user_index != nullptr && event_index != nullptr)
-      << "unknown index '" << options_.index << "'";
+  std::unique_ptr<KnnIndex> owned_user_index;
+  std::unique_ptr<KnnIndex> owned_event_index;
+  if (user_index == nullptr) {
+    owned_user_index =
+        MakeIndex(instance.user_attributes(), instance.similarity());
+    user_index = owned_user_index.get();
+  }
+  if (event_index == nullptr) {
+    owned_event_index =
+        MakeIndex(instance.event_attributes(), instance.similarity());
+    event_index = owned_event_index.get();
+  }
 
   GreedyState state;
   state.event_capacity.resize(num_events);

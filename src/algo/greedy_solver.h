@@ -30,6 +30,7 @@
 
 #include "core/instance.h"
 #include "core/solver.h"
+#include "index/knn_index.h"
 
 namespace geacc {
 
@@ -40,7 +41,19 @@ class GreedySolver final : public Solver {
   std::string Name() const override { return "greedy"; }
   SolveResult Solve(const Instance& instance) const override;
 
+  // Solve() with the cursors over caller-built indexes instead of the ones
+  // MakeIndex picks: `user_index` over instance.user_attributes(),
+  // `event_index` over instance.event_attributes(). Every backend
+  // enumerates in the same order, so the arrangement is Solve()'s bit for
+  // bit; tests use this to check greedy over each backend.
+  SolveResult SolveOver(const Instance& instance, const KnnIndex& user_index,
+                        const KnnIndex& event_index) const;
+
  private:
+  // Null indexes are built with MakeIndex.
+  SolveResult SolveImpl(const Instance& instance, const KnnIndex* user_index,
+                        const KnnIndex* event_index) const;
+
   SolverOptions options_;
 };
 

@@ -13,17 +13,6 @@ std::string ValidateSolverOptions(const SolverOptions& options) {
     return StrFormat("threads must be >= 0 (0 = auto), got %d",
                      options.threads);
   }
-  const std::string& index = options.index;
-  if (index != "linear" && index != "kdtree" && index != "vafile" &&
-      index != "idistance" && index != "idistance-paged") {
-    return StrFormat(
-        "unknown index '%s' (expected linear, kdtree, vafile, idistance, "
-        "or idistance-paged)",
-        index.c_str());
-  }
-  if (options.storage_budget_bytes < 1024) {
-    return "storage_budget_bytes must be >= 1024";
-  }
   const std::string& flow = options.flow_algorithm;
   if (flow != "dijkstra" && flow != "spfa") {
     return StrFormat(

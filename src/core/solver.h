@@ -53,21 +53,6 @@ struct SolverOptions {
   // phases of each solver fan out.
   int threads = 1;
 
-  // Greedy-GEACC: which k-NN index backs the neighbor cursors. "linear"
-  // (batched incremental scan; works with any similarity), "kdtree"
-  // (best-first tree search; needs a Euclidean-monotone similarity and
-  // falls back to linear otherwise — pays off at low dimensionality),
-  // "vafile", "idistance", or "idistance-paged" (the disk-backed variant:
-  // identical enumeration, index memory capped by storage_budget_bytes —
-  // DESIGN.md §14).
-  std::string index = "linear";
-
-  // "idistance-paged" only: buffer-pool byte budget for the on-disk key
-  // tree, and the directory for its temporary page file ("" = TMPDIR or
-  // /tmp). Ignored by the in-memory backends.
-  uint64_t storage_budget_bytes = 16ull << 20;
-  std::string storage_dir;
-
   // MinCostFlow-GEACC: shortest-path engine for the SSPA sweep —
   // "dijkstra" (reduced costs + potentials) or "spfa" (queue-based
   // Bellman–Ford over real costs). Identical results, different cost.
@@ -117,13 +102,13 @@ struct SolverOptions {
 // ValidateSolverOptions would reject.
 simd::FpMode ResolveFpMode(const SolverOptions& options);
 
-// Checks the string-valued fields of `options` against the known backend
-// names (`index` ∈ {linear, kdtree, vafile, idistance}, `flow_algorithm` ∈
-// {dijkstra, spfa}, `fp_mode` ∈ {strict, fast}, `bound` ∈ {lemma6, clique,
-// clique-lp}) and that `threads` is non-negative. Returns an empty string when valid, else a description
-// of the first bad field. CreateSolver() CHECK-fails on a non-empty result
-// so that typos fail fast instead of surfacing mid-solve (or never, for
-// solvers that ignore the field).
+// Checks the string-valued fields of `options` against the known names
+// (`flow_algorithm` ∈ {dijkstra, spfa}, `fp_mode` ∈ {strict, fast},
+// `bound` ∈ {lemma6, clique, clique-lp}) and that `threads` is
+// non-negative. Returns an empty string when valid, else
+// a description of the first bad field. CreateSolver() CHECK-fails on a
+// non-empty result so that typos fail fast instead of surfacing mid-solve
+// (or never, for solvers that ignore the field).
 std::string ValidateSolverOptions(const SolverOptions& options);
 
 struct SolverStats {

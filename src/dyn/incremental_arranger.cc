@@ -8,7 +8,7 @@
 
 #include "algo/solvers.h"
 #include "core/masked_similarity.h"
-#include "index/idistance_paged.h"
+#include "index/linear_scan_index.h"
 #include "obs/stats.h"
 #include "util/check.h"
 #include "util/string_util.h"
@@ -21,10 +21,7 @@ IncrementalArranger::IncrementalArranger(DynamicInstance* instance,
     : instance_(instance), options_(std::move(options)) {
   GEACC_CHECK(instance_ != nullptr);
   SolverOptions solver_options;
-  solver_options.index = options_.index;
   solver_options.threads = options_.threads;
-  solver_options.storage_budget_bytes = options_.storage_budget_bytes;
-  solver_options.storage_dir = options_.storage_dir;
   const std::string options_error = ValidateSolverOptions(solver_options);
   GEACC_CHECK(options_error.empty()) << options_error;
   fallback_ = CreateSolver(options_.fallback_solver, solver_options);
@@ -107,20 +104,15 @@ void IncrementalArranger::GrowToInstance() {
 }
 
 void IncrementalArranger::RefreshIndexes() {
-  StorageOptions storage;
-  storage.budget_bytes = options_.storage_budget_bytes;
-  storage.dir = options_.storage_dir;
   if (event_index_ == nullptr ||
       event_index_->num_points() != instance_->event_slots()) {
-    event_index_ = MakeIndex(options_.index, instance_->event_attributes(),
-                             instance_->similarity(), storage);
-    GEACC_CHECK(event_index_ != nullptr);
+    event_index_ = std::make_unique<LinearScanIndex>(
+        instance_->event_attributes(), instance_->similarity());
   }
   if (user_index_ == nullptr ||
       user_index_->num_points() != instance_->user_slots()) {
-    user_index_ = MakeIndex(options_.index, instance_->user_attributes(),
-                            instance_->similarity(), storage);
-    GEACC_CHECK(user_index_ != nullptr);
+    user_index_ = std::make_unique<LinearScanIndex>(
+        instance_->user_attributes(), instance_->similarity());
   }
 }
 

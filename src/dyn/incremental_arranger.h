@@ -4,10 +4,11 @@
 // The engine owns mutation application: Apply(mutation) forwards the edit
 // to the DynamicInstance, then repairs only the affected neighborhood —
 // evict pairs the mutation made infeasible, then greedily refill freed
-// capacity from incremental nearest-neighbor cursors (the same src/index/
-// backends Greedy-GEACC uses). Refill enumerates candidates in
-// (similarity desc, id asc) order, so an arrival-only trace reproduces
-// OnlineArranger's arrangement exactly (see online_greedy_solver.h).
+// capacity from incremental nearest-neighbor cursors over a
+// LinearScanIndex, whose O(1) rebuild after instance growth suits heavy
+// churn. Refill enumerates candidates in (similarity desc, id asc) order,
+// so an arrival-only trace reproduces OnlineArranger's arrangement exactly
+// (see online_greedy_solver.h).
 //
 // Two knobs bound the work and the quality loss:
 //
@@ -53,16 +54,6 @@
 namespace geacc {
 
 struct RepairOptions {
-  // k-NN backend for the refill cursors ("linear", "kdtree", "vafile",
-  // "idistance", "idistance-paged"). "linear" rebuilds in O(1) after
-  // instance growth, which makes it the right default under heavy churn.
-  std::string index = "linear";
-
-  // "idistance-paged" only: buffer-pool budget + page-file directory for
-  // the disk-backed key trees (see SolverOptions for semantics).
-  uint64_t storage_budget_bytes = 16ull << 20;
-  std::string storage_dir;
-
   // Max cursor steps per Apply(); 0 = unlimited.
   int64_t repair_budget = 0;
 
@@ -178,7 +169,7 @@ class IncrementalArranger {
 
   // Grows the per-slot mirrors after the instance added a slot.
   void GrowToInstance();
-  // Rebuilds a side's k-NN index when the instance outgrew it.
+  // Rebuilds a side's linear-scan index when the instance outgrew it.
   void RefreshIndexes();
 
   void AddPair(EventId v, UserId u, double similarity);

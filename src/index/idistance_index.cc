@@ -26,12 +26,10 @@ std::vector<Neighbor> IDistanceIndex::Query(const double* query,
                                             int k) const {
   std::vector<Neighbor> result;
   if (k <= 0) return result;
-  IDistanceScanCursor<KeyTree> cursor(points_, similarity_, geometry_.pivots,
-                                      geometry_.stretch,
-                                      geometry_.initial_radius, tree_, query);
+  const std::unique_ptr<NnCursor> cursor = CreateCursor(query);
   result.reserve(std::min(k, num_points()));
   while (static_cast<int>(result.size()) < k) {
-    const auto next = cursor.Next();
+    const auto next = cursor->Next();
     if (!next) break;
     result.push_back(*next);
   }
@@ -40,9 +38,9 @@ std::vector<Neighbor> IDistanceIndex::Query(const double* query,
 
 std::unique_ptr<NnCursor> IDistanceIndex::CreateCursor(
     const double* query) const {
-  return std::make_unique<IDistanceScanCursor<KeyTree>>(
+  return OrderTiesById(std::make_unique<IDistanceScanCursor<KeyTree>>(
       points_, similarity_, geometry_.pivots, geometry_.stretch,
-      geometry_.initial_radius, tree_, query);
+      geometry_.initial_radius, tree_, query));
 }
 
 uint64_t IDistanceIndex::ByteEstimate() const {

@@ -76,12 +76,10 @@ std::vector<Neighbor> PagedIDistanceIndex::Query(const double* query,
                                                  int k) const {
   std::vector<Neighbor> result;
   if (k <= 0) return result;
-  IDistanceScanCursor<KeyTree> cursor(points_, similarity_, geometry_.pivots,
-                                      geometry_.stretch,
-                                      geometry_.initial_radius, *tree_, query);
+  const std::unique_ptr<NnCursor> cursor = CreateCursor(query);
   result.reserve(std::min(k, num_points()));
   while (static_cast<int>(result.size()) < k) {
-    const auto next = cursor.Next();
+    const auto next = cursor->Next();
     if (!next) break;
     result.push_back(*next);
   }
@@ -90,9 +88,9 @@ std::vector<Neighbor> PagedIDistanceIndex::Query(const double* query,
 
 std::unique_ptr<NnCursor> PagedIDistanceIndex::CreateCursor(
     const double* query) const {
-  return std::make_unique<IDistanceScanCursor<KeyTree>>(
+  return OrderTiesById(std::make_unique<IDistanceScanCursor<KeyTree>>(
       points_, similarity_, geometry_.pivots, geometry_.stretch,
-      geometry_.initial_radius, *tree_, query);
+      geometry_.initial_radius, *tree_, query));
 }
 
 uint64_t PagedIDistanceIndex::ByteEstimate() const {

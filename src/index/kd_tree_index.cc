@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <utility>
 
 #include "obs/stats.h"
 #include "util/check.h"
@@ -28,6 +29,9 @@ struct QueueEntry {
   }
 };
 
+// Queue key of points re-queued to come out next, in id order.
+constexpr double kOrderedRunKey = -1.0;
+
 }  // namespace
 
 class KdTreeCursor final : public NnCursor {
@@ -48,15 +52,62 @@ class KdTreeCursor final : public NnCursor {
     GEACC_STATS_ADD("index.kdtree.node_expansions", expansions_);
   }
 
+  // Distance order is similarity order only up to ties: distinct
+  // distances can round to one similarity (1 − √d²/T drops the low bits
+  // of small distances), and a point can pop before an equally far
+  // subtree holding a smaller id. So every answer waits for the next point
+  // by distance; when the two tie on similarity, the whole tied run is
+  // re-queued to come out by id. The enumeration is then (similarity desc,
+  // id asc), exactly LinearScanIndex's.
   std::optional<Neighbor> Next() override {
     ++steps_;
+    std::optional<Candidate> next =
+        lookahead_ ? std::exchange(lookahead_, std::nullopt) : PopPoint();
+    if (!next) return std::nullopt;
+    lookahead_ = PopPoint();
+    if (lookahead_ &&
+        lookahead_->neighbor.similarity == next->neighbor.similarity &&
+        next->distance_sq != kOrderedRunKey) {
+      RequeueTiedRun(*next);
+      next = PopPoint();
+      lookahead_ = PopPoint();
+    }
+    return next->neighbor;
+  }
+
+ private:
+  struct Candidate {
+    Neighbor neighbor;
+    double distance_sq;  // its queue key
+  };
+
+  // Pops `first`, the lookahead and every further point of the same
+  // similarity, then queues them all under kOrderedRunKey (so they pop
+  // next, by id) and the first point past the run under its own key.
+  void RequeueTiedRun(const Candidate& first) {
+    std::vector<Candidate> run = {first, *lookahead_};
+    std::optional<Candidate> after;
+    while ((after = PopPoint()) &&
+           after->neighbor.similarity == first.neighbor.similarity) {
+      run.push_back(*after);
+    }
+    for (const Candidate& c : run) {
+      queue_.push({kOrderedRunKey, true, c.neighbor.id});
+    }
+    if (after) queue_.push({after->distance_sq, true, after->neighbor.id});
+    lookahead_.reset();
+  }
+
+  // The next point in (distance, id) order, expanding nodes on the way.
+  std::optional<Candidate> PopPoint() {
     while (!queue_.empty()) {
       const QueueEntry top = queue_.top();
       queue_.pop();
       if (top.is_point) {
         const double* point = index_.points_.Row(top.id);
-        return Neighbor{top.id, index_.similarity_.Compute(
-                                    point, query_, index_.points_.dim())};
+        return Candidate{{top.id, index_.similarity_.Compute(
+                                      point, query_, index_.points_.dim())},
+                         top.distance_sq};
       }
       ++expansions_;
       const KdTreeIndex::Node& node = index_.nodes_[top.id];
@@ -77,12 +128,12 @@ class KdTreeCursor final : public NnCursor {
     return std::nullopt;
   }
 
- private:
   const KdTreeIndex& index_;
   const double* query_;
   std::priority_queue<QueueEntry, std::vector<QueueEntry>,
                       std::greater<QueueEntry>>
       queue_;
+  std::optional<Candidate> lookahead_;  // next point by distance
   int64_t steps_ = 0;
   int64_t expansions_ = 0;
 };

@@ -5,11 +5,13 @@
 // queue ordered by minimum possible squared distance interleaves tree nodes
 // and exact points, yielding points in non-decreasing distance — which for
 // Euclidean-monotone similarities is non-increasing similarity, the order
-// Greedy-GEACC's cursors need.
+// Greedy-GEACC's cursors need. Runs of equal similarity are re-ordered by
+// id, so the enumeration matches LinearScanIndex exactly.
 //
 // In high dimensions (the paper's default d = 20) a kd-tree degenerates
-// toward a scan; it still satisfies the cursor contract, and the benches
-// quantify the crossover against LinearScanIndex.
+// toward a scan; it still satisfies the cursor contract, but MakeIndex
+// only picks it at d <= kKdTreeMaxDim (bench/micro_index and DESIGN.md §3
+// quantify the crossover).
 
 #ifndef GEACC_INDEX_KD_TREE_INDEX_H_
 #define GEACC_INDEX_KD_TREE_INDEX_H_

@@ -4,7 +4,7 @@
 // counterpart ("next feasible unvisited NN", Algorithm 2). That access
 // pattern is an incremental NN enumeration, which NnCursor models: Next()
 // yields points in non-increasing similarity order, each point exactly
-// once. Two backends are provided:
+// once. Four backends are provided:
 //
 //  * LinearScanIndex — batched incremental scan; works with any
 //    similarity function.
@@ -16,7 +16,9 @@
 //    with an expanding search radius.
 //
 // All four produce the identical enumeration (similarity desc, id asc);
-// they differ only in cost profile.
+// they differ only in cost profile. Solvers take the index MakeIndex picks
+// from the data (kd-tree or linear scan); the by-name factory reaches any
+// backend, for benches and tests.
 
 #ifndef GEACC_INDEX_KNN_INDEX_H_
 #define GEACC_INDEX_KNN_INDEX_H_
@@ -71,13 +73,32 @@ class KnnIndex {
   int num_points_;
 };
 
-// Builds an index over the rows of `points`. `name` ∈ {"linear",
+// Wraps a cursor that yields non-increasing similarity but may list a run
+// of equal similarities out of id order — distance-ordered search emits
+// by distance, and distinct distances can round to one similarity. Each
+// run is buffered and re-emitted by ascending id, which restores the
+// NnCursor contract at the cost of reading one point ahead.
+std::unique_ptr<NnCursor> OrderTiesById(std::unique_ptr<NnCursor> inner);
+
+// Highest dimensionality at which MakeIndex picks the kd-tree. Up to it,
+// greedy over the kd-tree took >= 10% less CPU than over linear scan with
+// no more peak RSS; above it, it did not (measurements in DESIGN.md §3).
+inline constexpr int kKdTreeMaxDim = 3;
+
+// Builds the index Greedy-GEACC's cursors run over: a KdTreeIndex when
+// `similarity` is Euclidean-monotone and points.dim() <= kKdTreeMaxDim,
+// a LinearScanIndex otherwise. `points` and `similarity` must outlive the
+// index.
+std::unique_ptr<KnnIndex> MakeIndex(const AttributeMatrix& points,
+                                    const SimilarityFunction& similarity);
+
+// Builds the named backend over the rows of `points`. `name` ∈ {"linear",
 // "kdtree", "vafile", "idistance", "idistance-paged"} — the paged variant
 // takes default StorageOptions here; use the 4-arg overload in
-// index/idistance_paged.h to set the budget. Distance-ordered indexes requested
-// with a non-Euclidean-monotone similarity fall back to linear scan
-// (their distance ordering would be meaningless). `points` and
-// `similarity` must outlive the index.
+// index/idistance_paged.h to set the budget. Distance-ordered indexes
+// requested with a non-Euclidean-monotone similarity fall back to linear
+// scan (their distance ordering would be meaningless). Returns nullptr for
+// an unknown name. `points` and `similarity` must outlive the index.
 std::unique_ptr<KnnIndex> MakeIndex(const std::string& name,
                                     const AttributeMatrix& points,
                                     const SimilarityFunction& similarity);

@@ -57,6 +57,8 @@ class VaFileCursor final : public NnCursor {
     GEACC_STATS_ADD("index.vafile.refinements", refinements_);
   }
 
+  int64_t refinements() const { return refinements_; }
+
   std::optional<Neighbor> Next() override {
     ++steps_;
     while (!queue_.empty()) {
@@ -212,56 +214,26 @@ std::vector<Neighbor> VaFileIndex::Query(const double* query, int k) const {
     last_refinement_ = 0.0;
     return result;
   }
-  // Two-phase VA-file kNN: scan bounds, keep the k best exact distances
-  // found so far, skip any point whose lower bound exceeds the current
-  // k-th distance. Scanning in ascending-id order keeps ties
-  // deterministic; the final sort matches the cursor order.
-  struct Exact {
-    double distance_sq;
-    int id;
-  };
-  auto worse = [](const Exact& a, const Exact& b) {
-    if (a.distance_sq != b.distance_sq) return a.distance_sq < b.distance_sq;
-    return a.id < b.id;
-  };
-  std::vector<Exact> best;  // max-heap by `worse` (worst kept on top)
-  int refined = 0;
-  Arena& arena = GetScratchArena();
-  ScratchScope scratch(arena);
-  double* bounds = arena.Alloc<double>(num_points());
-  BatchedLowerBounds(query, bounds);
-  for (int i = 0; i < num_points(); ++i) {
-    const double bound = bounds[i];
-    if (static_cast<int>(best.size()) == k &&
-        bound > best.front().distance_sq) {
-      continue;  // cannot beat the current k-th nearest
-    }
-    const double exact = SquaredEuclideanDistance(
-        points_.Row(i), query, points_.dim());
-    ++refined;
-    const Exact candidate{exact, i};
-    if (static_cast<int>(best.size()) < k) {
-      best.push_back(candidate);
-      std::push_heap(best.begin(), best.end(), worse);
-    } else if (worse(candidate, best.front())) {
-      std::pop_heap(best.begin(), best.end(), worse);
-      best.back() = candidate;
-      std::push_heap(best.begin(), best.end(), worse);
-    }
+  // The first k of the cursor: bounds for every point, exact distances
+  // only for those whose bound comes up before the k-th answer, and the
+  // cursor's (similarity desc, id asc) order even where distinct distances
+  // round to one similarity.
+  auto scan = std::make_unique<VaFileCursor>(*this, query);
+  const VaFileCursor& counts = *scan;
+  const std::unique_ptr<NnCursor> cursor = OrderTiesById(std::move(scan));
+  result.reserve(std::min(k, num_points()));
+  while (static_cast<int>(result.size()) < k) {
+    const auto next = cursor->Next();
+    if (!next) break;
+    result.push_back(*next);
   }
-  last_refinement_ = static_cast<double>(refined) / num_points();
-  std::sort_heap(best.begin(), best.end(), worse);
-  result.reserve(best.size());
-  for (const Exact& e : best) {
-    result.push_back({e.id, similarity_.Compute(points_.Row(e.id), query,
-                                                points_.dim())});
-  }
+  last_refinement_ = static_cast<double>(counts.refinements()) / num_points();
   return result;
 }
 
 std::unique_ptr<NnCursor> VaFileIndex::CreateCursor(
     const double* query) const {
-  return std::make_unique<VaFileCursor>(*this, query);
+  return OrderTiesById(std::make_unique<VaFileCursor>(*this, query));
 }
 
 uint64_t VaFileIndex::ByteEstimate() const {

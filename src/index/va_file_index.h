@@ -12,7 +12,8 @@
 //
 // The incremental cursor yields exactly the linear-scan order (ties by
 // ascending id): a point is emitted only once its *exact* distance is no
-// greater than every remaining lower bound.
+// greater than every remaining lower bound, and runs of equal similarity
+// are re-ordered by id (OrderTiesById). Query(k) is the cursor's first k.
 
 #ifndef GEACC_INDEX_VA_FILE_INDEX_H_
 #define GEACC_INDEX_VA_FILE_INDEX_H_

@@ -46,9 +46,6 @@ int main(int argc, char** argv) {
   std::string wal;
   std::string checkpoint;
   int64_t checkpoint_every = 64;
-  std::string index = "linear";
-  int64_t storage_budget_mb = 16;
-  std::string storage_dir;
   std::string fallback = "greedy";
   int64_t repair_budget = 0;
   double drift_threshold = 0.1;
@@ -75,12 +72,6 @@ int main(int argc, char** argv) {
                   "only the WAL suffix past it (empty = full replay)");
   flags.AddInt("checkpoint_every", &checkpoint_every,
                "applied batches between checkpoints");
-  flags.AddString("index", &index, "repair k-NN backend");
-  flags.AddInt("storage_budget_mb", &storage_budget_mb,
-               "idistance-paged only: buffer-pool budget in MiB");
-  flags.AddString("storage_dir", &storage_dir,
-                  "idistance-paged only: temp page-file directory "
-                  "(default: TMPDIR or /tmp)");
   flags.AddString("fallback", &fallback, "full-resolve solver");
   flags.AddInt("repair_budget", &repair_budget,
                "cursor steps per repair (0 = unlimited)");
@@ -99,10 +90,6 @@ int main(int argc, char** argv) {
   options.wal_path = wal;
   options.paged_checkpoint_path = checkpoint;
   options.checkpoint_interval_batches = static_cast<int>(checkpoint_every);
-  options.repair.index = index;
-  options.repair.storage_budget_bytes =
-      static_cast<uint64_t>(storage_budget_mb) << 20;
-  options.repair.storage_dir = storage_dir;
   options.repair.fallback_solver = fallback;
   options.repair.repair_budget = repair_budget;
   options.repair.drift_threshold = drift_threshold;

@@ -540,12 +540,4 @@ ServiceStatsView ArrangementService::Stats() const {
   return view;
 }
 
-bool ArrangementService::Checkpoint(const std::string& path,
-                                    std::string* error) const {
-  const std::shared_ptr<const ServiceSnapshot> snap = snapshot();
-  const Instance dense = snap->ToDenseInstance();
-  const Arrangement arrangement = snap->ToDenseArrangement();
-  return WriteCheckpoint(dense, arrangement, path, error);
-}
-
 }  // namespace geacc::svc

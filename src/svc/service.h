@@ -209,10 +209,6 @@ class ArrangementService {
 
   ServiceStatsView Stats() const;
 
-  // Writes a compacted dense instance+arrangement checkpoint of the
-  // current snapshot (safe to call concurrently with everything).
-  bool Checkpoint(const std::string& path, std::string* error = nullptr) const;
-
   const ServiceOptions& options() const { return options_; }
 
  private:

@@ -127,44 +127,4 @@ std::optional<WalContents> ReadWal(const std::string& path,
   return contents;
 }
 
-bool WriteCheckpoint(const Instance& instance, const Arrangement& arrangement,
-                     const std::string& path, std::string* error) {
-  std::ofstream os(path, std::ios::trunc);
-  if (!os) {
-    Fail(error, "cannot open '" + path + "' for writing");
-    return false;
-  }
-  WriteInstance(instance, os);
-  WriteArrangement(arrangement, os);
-  os.flush();
-  if (!os) {
-    Fail(error, "write to '" + path + "' failed");
-    return false;
-  }
-  return true;
-}
-
-std::optional<Checkpoint> ReadCheckpoint(const std::string& path,
-                                         std::string* error) {
-  std::ifstream is(path);
-  if (!is) {
-    Fail(error, "cannot open '" + path + "'");
-    return std::nullopt;
-  }
-  std::string instance_error;
-  std::optional<Instance> instance = ReadInstance(is, &instance_error);
-  if (!instance) {
-    Fail(error, "checkpoint instance: " + instance_error);
-    return std::nullopt;
-  }
-  std::string arrangement_error;
-  std::optional<Arrangement> arrangement =
-      ReadArrangement(is, *instance, &arrangement_error);
-  if (!arrangement) {
-    Fail(error, "checkpoint arrangement: " + arrangement_error);
-    return std::nullopt;
-  }
-  return Checkpoint{std::move(*instance), std::move(*arrangement)};
-}
-
 }  // namespace geacc::svc

@@ -1,5 +1,5 @@
-// Durability for the arrangement service: a write-ahead mutation log and
-// dense state checkpoints (DESIGN.md §11).
+// Durability for the arrangement service: a write-ahead mutation log
+// (DESIGN.md §11). Checkpoints are paged (svc/paged_checkpoint.h).
 //
 // The WAL is the service's replayable history: a header naming the format,
 // the epoch-0 instance (instance_io block), a `wal-mutations` sentinel,
@@ -77,19 +77,6 @@ struct WalContents {
 // that is not the final line of the file.
 std::optional<WalContents> ReadWal(const std::string& path,
                                    std::string* error = nullptr);
-
-// Writes `instance` + `arrangement` as one checkpoint file (instance_io
-// blocks back to back).
-bool WriteCheckpoint(const Instance& instance, const Arrangement& arrangement,
-                     const std::string& path, std::string* error = nullptr);
-
-// Loads a checkpoint written by WriteCheckpoint.
-struct Checkpoint {
-  Instance instance;
-  Arrangement arrangement;
-};
-std::optional<Checkpoint> ReadCheckpoint(const std::string& path,
-                                         std::string* error = nullptr);
 
 }  // namespace geacc::svc
 

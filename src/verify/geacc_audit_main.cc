@@ -183,9 +183,6 @@ int main(int argc, char** argv) {
                "run the incremental-repair differential every k instances");
   flags.AddInt("wal_period", &config.wal_period,
                "run the WAL-recovery differential every k instances");
-  flags.AddInt("paged_period", &config.paged_period,
-               "run the paged-vs-in-memory greedy differential every k "
-               "instances (0 = never)");
   flags.AddInt("shard_period", &config.shard_period,
                "run the sharded-vs-single-node differential (N = 2, 3 "
                "in-process shards) every k instances (0 = never)");

@@ -245,41 +245,6 @@ std::string CheckThreadIdentity(const CampaignConfig& config,
   return "";
 }
 
-// Paged-backend differential (DESIGN.md §14): greedy's cursors through
-// the disk-backed iDistance index must reproduce the in-memory backend's
-// arrangement exactly. A deliberately tiny pool budget forces even these
-// small key trees through buffer-pool eviction.
-std::string CheckPagedIdentity(const CampaignConfig& config,
-                               const Instance& instance) {
-  SolverOptions inmem;
-  inmem.seed = config.seed;
-  inmem.index = "idistance";
-  SolverOptions paged = inmem;
-  paged.index = "idistance-paged";
-  paged.storage_budget_bytes = 16 << 10;
-  paged.storage_dir = config.scratch_dir;
-  const SolveResult inmem_solution =
-      CreateSolver("greedy", inmem)->Solve(instance);
-  const SolveResult paged_solution =
-      CreateSolver("greedy", paged)->Solve(instance);
-  if (inmem_solution.arrangement.SortedPairs() !=
-      paged_solution.arrangement.SortedPairs()) {
-    return StrFormat(
-        "greedy arrangement differs between idistance (%zu pairs) and "
-        "idistance-paged (%zu pairs)",
-        inmem_solution.arrangement.SortedPairs().size(),
-        paged_solution.arrangement.SortedPairs().size());
-  }
-  const double inmem_sum = inmem_solution.arrangement.MaxSum(instance);
-  const double paged_sum = paged_solution.arrangement.MaxSum(instance);
-  if (inmem_sum != paged_sum) {
-    return StrFormat("greedy MaxSum differs: idistance %.17g vs "
-                     "idistance-paged %.17g",
-                     inmem_sum, paged_sum);
-  }
-  return "";
-}
-
 // Sharded-topology differential (DESIGN.md §16): a ShardCoordinator over
 // `num_shards` in-process score-only shard services, seeded with
 // `instance`, must repair to the bit-identical greedy-sortall arrangement
@@ -765,13 +730,6 @@ CampaignResult RunCampaign(const CampaignConfig& config, std::ostream* log) {
       std::string detail = CheckWalRecovery(config, index);
       if (!detail.empty()) {
         record_failure("wal/recovery", std::move(detail), index, nullptr);
-      }
-    }
-    if (config.paged_period > 0 && i % config.paged_period == 0) {
-      ++result.checks;
-      std::string detail = CheckPagedIdentity(config, instance);
-      if (!detail.empty()) {
-        record_failure("paged/greedy", std::move(detail), index, &instance);
       }
     }
     if (config.shard_period > 0 && i % config.shard_period == 0) {

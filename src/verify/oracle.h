@@ -29,10 +29,6 @@
 //
 // plus, on a sampled subset of iterations, further differentials:
 //
-//   * paged/greedy         Greedy over the disk-backed "idistance-paged"
-//                          backend (tiny pool budget, so even these small
-//                          trees page through disk) is bit-identical to
-//                          Greedy over the in-memory "idistance" backend
 //   * repair/trace         an IncrementalArranger replaying a generated
 //                          mutation trace stays feasible after every
 //                          mutation, its incremental MaxSum matches a
@@ -118,13 +114,6 @@ struct CampaignConfig {
   int repair_period = 5;
   int wal_period = 10;
   int trace_mutations = 40;
-
-  // Run the paged-backend differential every k-th iteration (0 = never):
-  // greedy over "idistance-paged" (tiny buffer-pool budget, so even the
-  // campaign's small trees page through disk) must be bit-identical to
-  // greedy over the in-memory "idistance" backend — same SortedPairs,
-  // same MaxSum bits (DESIGN.md §14).
-  int paged_period = 25;
 
   // Run the sharded-topology differential every k-th iteration (0 =
   // never): a ShardCoordinator over N ∈ {2, 3} in-process score-only

@@ -67,31 +67,6 @@ TEST(DynFuzz, AggressiveDriftFallbackStaysConsistent) {
   ReplayAndCheck(trace, options);
 }
 
-TEST(DynFuzz, AlternateIndexBackendsAgreeWithLinear) {
-  // Same trace, different k-NN backends: cursors enumerate in the same
-  // (similarity desc, id asc) contract order, so the final arrangements
-  // must be identical.
-  const MutationTrace trace = GenerateTrace(SmallChurnConfig(30));
-  std::vector<std::pair<EventId, UserId>> reference;
-  for (const char* index : {"linear", "kdtree", "vafile", "idistance"}) {
-    RepairOptions options;
-    options.index = index;
-    options.drift_threshold = 0.0;
-    DynamicInstance dynamic(trace.initial);
-    IncrementalArranger arranger(&dynamic, options);
-    arranger.FullResolve();
-    for (const Mutation& mutation : trace.mutations) {
-      arranger.Apply(mutation);
-      ASSERT_EQ(arranger.Validate(), "") << index;
-    }
-    if (reference.empty()) {
-      reference = arranger.arrangement().SortedPairs();
-    } else {
-      EXPECT_EQ(arranger.arrangement().SortedPairs(), reference) << index;
-    }
-  }
-}
-
 TEST(DynFuzz, GeneratorIsDeterministic) {
   const TraceGenConfig config = SmallChurnConfig(7);
   const MutationTrace a = GenerateTrace(config);

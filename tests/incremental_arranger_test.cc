@@ -190,16 +190,8 @@ TEST(IncrementalArranger, OutOfBandInstanceMutationDies) {
   EXPECT_DEATH(arranger.Apply(Mutation::SetUserCapacity(0, 3)), "stale");
 }
 
-TEST(IncrementalArranger, RejectsUnknownIndexAndFallback) {
+TEST(IncrementalArranger, RejectsUnknownFallback) {
   const Instance seed = SmallRandomInstance(3, 5, 0.0, 2, 2);
-  EXPECT_DEATH(
-      {
-        DynamicInstance dynamic(seed);
-        RepairOptions options;
-        options.index = "nope";
-        IncrementalArranger arranger(&dynamic, options);
-      },
-      "unknown index");
   EXPECT_DEATH(
       {
         DynamicInstance dynamic(seed);

@@ -1,7 +1,9 @@
 // Unit and property tests for the k-NN index substrate. All four backends
 // (linear scan, kd-tree, VA-File, iDistance) must agree exactly: same
 // similarity values, same deterministic tie-break, every point enumerated
-// exactly once in non-increasing similarity order.
+// exactly once in non-increasing similarity order. MakeIndex's choice
+// between the kd-tree and linear scan is pinned on both sides of
+// kKdTreeMaxDim.
 
 #include <gtest/gtest.h>
 
@@ -9,13 +11,16 @@
 #include <set>
 #include <tuple>
 
+#include "algo/greedy_solver.h"
 #include "core/attributes.h"
+#include "core/masked_similarity.h"
 #include "core/similarity.h"
 #include "index/idistance_index.h"
 #include "index/kd_tree_index.h"
 #include "index/knn_index.h"
 #include "index/linear_scan_index.h"
 #include "index/va_file_index.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace geacc {
@@ -46,6 +51,36 @@ TEST(MakeIndex, FactoryNamesAndFallback) {
     EXPECT_EQ(MakeIndex(name, points, cosine)->Name(), "linear") << name;
   }
   EXPECT_EQ(MakeIndex("nope", points, euclid), nullptr);
+}
+
+TEST(MakeIndex, KdTreeUpToMaxDimThenLinearScan) {
+  const EuclideanSimilarity euclid(100.0);
+  const RbfSimilarity rbf(50.0);
+  for (int dim = 1; dim <= kKdTreeMaxDim; ++dim) {
+    const AttributeMatrix points = RandomPoints(10, dim, 1);
+    EXPECT_EQ(MakeIndex(points, euclid)->Name(), "kdtree") << "d=" << dim;
+    EXPECT_EQ(MakeIndex(points, rbf)->Name(), "kdtree") << "d=" << dim;
+    // Non-metric similarities: a distance order would be meaningless.
+    EXPECT_EQ(MakeIndex(points, CosineSimilarity())->Name(), "linear")
+        << "d=" << dim;
+    EXPECT_EQ(MakeIndex(points, DotSimilarity())->Name(), "linear")
+        << "d=" << dim;
+  }
+  for (const int dim : {kKdTreeMaxDim + 1, 20}) {
+    const AttributeMatrix points = RandomPoints(10, dim, 1);
+    EXPECT_EQ(MakeIndex(points, euclid)->Name(), "linear") << "d=" << dim;
+  }
+}
+
+TEST(MakeIndex, MaskedSimilarityGetsLinearScan) {
+  // A masked instance over a 1-d Euclidean base has dim 2 (base + identity
+  // column): low enough for the kd-tree, but the mask breaks the distance
+  // order.
+  const MaskedSimilarity masked(std::make_unique<EuclideanSimilarity>(100.0),
+                                /*base_dim=*/1, /*num_users=*/1, {1});
+  const AttributeMatrix points = RandomPoints(10, 2, 1);
+  ASSERT_LE(points.dim(), kKdTreeMaxDim);
+  EXPECT_EQ(MakeIndex(points, masked)->Name(), "linear");
 }
 
 TEST(DistanceOrderedIndexes, RejectNonMonotoneSimilarity) {
@@ -269,13 +304,78 @@ TEST(IDistance, AllIdenticalPoints) {
   EXPECT_FALSE(cursor->Next().has_value());
 }
 
+TEST(Index, SimilarityTiesAtDistinctDistancesBrokenById) {
+  // 1 − √d²/T rounds to 1.0 for every point within ~1e-16·T of the query:
+  // distinct distances, one similarity. Every backend must then list the
+  // tied points by id, not by distance.
+  AttributeMatrix points(4, 1);
+  points.Set(0, 0, 3e-17);
+  points.Set(1, 0, 2e-17);
+  points.Set(2, 0, 0.5);
+  points.Set(3, 0, 1e-17);
+  const EuclideanSimilarity sim(1.0);
+  const double query[] = {0.0};
+  ASSERT_EQ(sim.Compute(points.Row(0), query, 1), 1.0);
+  ASSERT_EQ(sim.Compute(points.Row(3), query, 1), 1.0);
+  for (const char* name : kAllIndexes) {
+    const auto index = MakeIndex(name, points, sim);
+    auto cursor = index->CreateCursor(query);
+    for (const int expected : {0, 1, 3, 2}) {
+      const auto next = cursor->Next();
+      ASSERT_TRUE(next.has_value()) << name;
+      EXPECT_EQ(next->id, expected) << name;
+    }
+    EXPECT_FALSE(cursor->Next().has_value()) << name;
+    const auto top = index->Query(query, 2);
+    ASSERT_EQ(top.size(), 2u) << name;
+    EXPECT_EQ(top[0].id, 0) << name;
+    EXPECT_EQ(top[1].id, 1) << name;
+  }
+}
+
+TEST(Index, EqualDistancesAcrossLeavesBrokenById) {
+  // Query at 0 with mirrored integer points: ids 16..31 sit at -3..-18 and
+  // ids 0..15 at +3..+18, so each side fills one kd-tree leaf and ids 16
+  // and 0 tie at distance 3. The left leaf is expanded first, yet id 0
+  // must still come before id 16.
+  AttributeMatrix points(32, 1);
+  for (int i = 0; i < 16; ++i) {
+    points.Set(i, 0, 3.0 + i);
+    points.Set(16 + i, 0, -3.0 - i);
+  }
+  const EuclideanSimilarity sim(100.0);
+  const double query[] = {0.0};
+  const LinearScanIndex linear(points, sim);
+  const KdTreeIndex kdtree(points, sim);
+  auto lc = linear.CreateCursor(query);
+  auto kc = kdtree.CreateCursor(query);
+  for (int rank = 0; rank < 32; ++rank) {
+    const auto a = lc->Next();
+    const auto b = kc->Next();
+    ASSERT_TRUE(a && b);
+    ASSERT_EQ(a->id, b->id) << "rank " << rank;
+  }
+  EXPECT_FALSE(kc->Next().has_value());
+}
+
 // Greedy-GEACC must return the same matching whichever index backs its
-// cursors — exercised here for the two paper-cited indexes (kdtree and
-// linear are covered in solvers_test).
+// cursors: every backend enumerates in the same order.
 TEST(Index, GreedyIdenticalAcrossAllBackends) {
-  // Deferred to tests/solvers_test.cc (IndexChoiceDoesNotChangeResult),
-  // which now sweeps all four names.
-  SUCCEED();
+  for (uint64_t seed = 0; seed < 5; ++seed) {
+    const Instance instance =
+        testing::SmallRandomInstance(5, 15, 0.25, 4, seed);
+    const SimilarityFunction& sim = instance.similarity();
+    const GreedySolver solver;
+    const auto reference = solver.Solve(instance).arrangement.SortedPairs();
+    for (const char* name : kAllIndexes) {
+      const auto users = MakeIndex(name, instance.user_attributes(), sim);
+      const auto events = MakeIndex(name, instance.event_attributes(), sim);
+      EXPECT_EQ(solver.SolveOver(instance, *users, *events)
+                    .arrangement.SortedPairs(),
+                reference)
+          << "seed " << seed << " index " << name;
+    }
+  }
 }
 
 }  // namespace

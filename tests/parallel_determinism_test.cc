@@ -23,6 +23,7 @@
 #include "exp/experiment.h"
 #include "gen/synthetic.h"
 #include "gen/trace_gen.h"
+#include "index/knn_index.h"
 #include "obs/stats.h"
 #include "util/thread_pool.h"
 
@@ -41,11 +42,11 @@ std::vector<std::pair<UserId, EventId>> FlatPairs(const Arrangement& a) {
 }
 
 Instance MakeInstance(int num_events, int num_users, int max_event_capacity,
-                      uint64_t seed, double conflict_density) {
+                      uint64_t seed, double conflict_density, int dim = 4) {
   SyntheticConfig config;
   config.num_events = num_events;
   config.num_users = num_users;
-  config.dim = 4;
+  config.dim = dim;
   config.event_capacity = DistributionSpec::Uniform(
       1.0, static_cast<double>(max_event_capacity));
   config.user_capacity = DistributionSpec::Uniform(1.0, 2.0);
@@ -95,12 +96,11 @@ TEST(ParallelDeterminism, MinCostFlowExactResolution) {
 }
 
 TEST(ParallelDeterminism, GreedyFuzz) {
+  // Both sides of kKdTreeMaxDim: cursors over the kd-tree, then linear scan.
   for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    const Instance instance = MakeInstance(20, 60, 8, seed, 0.25);
-    for (const char* index : {"linear", "kdtree"}) {
-      SolverOptions options;
-      options.index = index;
-      ExpectThreadInvariant("greedy", options, instance);
+    for (const int dim : {kKdTreeMaxDim, kKdTreeMaxDim + 1}) {
+      const Instance instance = MakeInstance(20, 60, 8, seed, 0.25, dim);
+      ExpectThreadInvariant("greedy", SolverOptions(), instance);
     }
   }
 }

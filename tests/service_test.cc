@@ -394,24 +394,51 @@ TEST(ArrangementService, RecoverDropsTornFinalLine) {
 }
 
 TEST(ArrangementService, CheckpointRoundTrips) {
-  const std::string path = TempPath("svc_checkpoint.dat");
+  // The one checkpoint format is the paged one: the state written at
+  // Stop() comes back through Recover() (checkpoint + empty WAL suffix)
+  // with the same dense instance, pairs and MaxSum bits.
+  ServiceOptions options;
+  options.wal_path = TempPath("svc_checkpoint.wal");
+  options.paged_checkpoint_path = TempPath("svc_checkpoint.ckpt");
+  std::shared_ptr<const ServiceSnapshot> before;
+  {
+    ArrangementService service(SmallInstance(29), options);
+    const SubmitResult r = service.Submit(Mutation::RemoveUser(5));
+    ASSERT_EQ(service.WaitForTicket(r.ticket), SvcStatus::kOk);
+    service.Stop();
+    before = service.snapshot();
+  }
+
+  std::string error;
+  std::unique_ptr<ArrangementService> recovered =
+      ArrangementService::Recover(options, &error);
+  ASSERT_NE(recovered, nullptr) << error;
+  const auto after = recovered->snapshot();
+  const Instance dense = after->ToDenseInstance();
+  const Arrangement arrangement = after->ToDenseArrangement();
+  EXPECT_EQ(dense.num_events(), before->num_active_events());
+  EXPECT_EQ(dense.num_users(), before->num_active_users());
+  EXPECT_EQ(arrangement.size(), before->num_pairs());
+  EXPECT_EQ(arrangement.Validate(dense), "");
+  EXPECT_EQ(after->max_sum(), before->max_sum());
+  recovered->Stop();
+  std::remove(options.wal_path.c_str());
+  std::remove(options.paged_checkpoint_path.c_str());
+}
+
+TEST(ServiceSnapshot, DenseViewMatchesTheSnapshot) {
   ArrangementService service(SmallInstance(29), {});
   const SubmitResult r = service.Submit(Mutation::RemoveUser(5));
   ASSERT_EQ(service.WaitForTicket(r.ticket), SvcStatus::kOk);
 
-  std::string error;
-  ASSERT_TRUE(service.Checkpoint(path, &error)) << error;
-  std::optional<Checkpoint> checkpoint = ReadCheckpoint(path, &error);
-  ASSERT_TRUE(checkpoint.has_value()) << error;
-
   const auto snapshot = service.snapshot();
-  EXPECT_EQ(checkpoint->instance.num_events(), snapshot->num_active_events());
-  EXPECT_EQ(checkpoint->instance.num_users(), snapshot->num_active_users());
-  EXPECT_EQ(checkpoint->arrangement.size(), snapshot->num_pairs());
-  EXPECT_EQ(checkpoint->arrangement.Validate(checkpoint->instance), "");
-  EXPECT_NEAR(checkpoint->arrangement.MaxSum(checkpoint->instance),
-              snapshot->max_sum(), 1e-9);
-  std::remove(path.c_str());
+  const Instance dense = snapshot->ToDenseInstance();
+  const Arrangement arrangement = snapshot->ToDenseArrangement();
+  EXPECT_EQ(dense.num_events(), snapshot->num_active_events());
+  EXPECT_EQ(dense.num_users(), snapshot->num_active_users());
+  EXPECT_EQ(arrangement.size(), snapshot->num_pairs());
+  EXPECT_EQ(arrangement.Validate(dense), "");
+  EXPECT_NEAR(arrangement.MaxSum(dense), snapshot->max_sum(), 1e-9);
 }
 
 TEST(WalReader, RejectsCorruptionThatIsNotATornTail) {

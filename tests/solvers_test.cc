@@ -11,6 +11,8 @@
 #include "algo/prune_solver.h"
 #include "algo/random_solvers.h"
 #include "algo/solvers.h"
+#include "index/knn_index.h"
+#include "index/linear_scan_index.h"
 #include "tests/test_util.h"
 
 namespace geacc {
@@ -30,12 +32,6 @@ TEST(SolverRegistry, CreatesEveryListedSolver) {
   EXPECT_EQ(CreateSolver("no-such-solver"), nullptr);
 }
 
-TEST(SolverRegistry, UnknownIndexOptionDies) {
-  SolverOptions options;
-  options.index = "btree";
-  EXPECT_DEATH(CreateSolver("greedy", options), "unknown index 'btree'");
-}
-
 TEST(SolverRegistry, UnknownFlowAlgorithmOptionDies) {
   SolverOptions options;
   options.flow_algorithm = "simplex";
@@ -44,12 +40,12 @@ TEST(SolverRegistry, UnknownFlowAlgorithmOptionDies) {
 }
 
 TEST(SolverRegistry, ValidateSolverOptionsAcceptsAllKnownValues) {
-  for (const char* index : {"linear", "kdtree", "vafile", "idistance"}) {
-    for (const char* flow : {"dijkstra", "spfa"}) {
+  for (const char* flow : {"dijkstra", "spfa"}) {
+    for (const char* bound : {"lemma6", "clique", "clique-lp"}) {
       SolverOptions options;
-      options.index = index;
       options.flow_algorithm = flow;
-      EXPECT_EQ(ValidateSolverOptions(options), "") << index << "/" << flow;
+      options.bound = bound;
+      EXPECT_EQ(ValidateSolverOptions(options), "") << flow << "/" << bound;
     }
   }
 }
@@ -134,19 +130,19 @@ TEST(GreedySolver, DeterministicAcrossRuns) {
 }
 
 TEST(GreedySolver, IndexChoiceDoesNotChangeResult) {
+  // SmallRandomInstance is 3-d, so Solve() runs its cursors over the
+  // kd-tree MakeIndex picks; over linear scan the result must not move.
   for (uint64_t seed = 0; seed < 10; ++seed) {
     const Instance instance = SmallRandomInstance(5, 15, 0.25, 4, seed);
-    SolverOptions linear_options;
-    linear_options.index = "linear";
-    const auto reference =
-        GreedySolver(linear_options).Solve(instance).arrangement;
-    for (const char* index : {"kdtree", "vafile", "idistance"}) {
-      SolverOptions options;
-      options.index = index;
-      const auto other = GreedySolver(options).Solve(instance).arrangement;
-      EXPECT_EQ(reference.SortedPairs(), other.SortedPairs())
-          << "seed " << seed << " index " << index;
-    }
+    const SimilarityFunction& sim = instance.similarity();
+    ASSERT_EQ(MakeIndex(instance.user_attributes(), sim)->Name(), "kdtree");
+    const LinearScanIndex users(instance.user_attributes(), sim);
+    const LinearScanIndex events(instance.event_attributes(), sim);
+    const GreedySolver solver;
+    EXPECT_EQ(solver.Solve(instance).arrangement.SortedPairs(),
+              solver.SolveOver(instance, users, events)
+                  .arrangement.SortedPairs())
+        << "seed " << seed;
   }
 }
 

@@ -148,18 +148,24 @@ TEST(PagedIDistance, OutOfCoreFourTimesOverBudget) {
 }
 
 TEST(GreedySolver, PagedBackendIsBitIdenticalToInMemory) {
+  StorageOptions storage;
+  storage.budget_bytes = 1024;  // force real paging
   for (const uint64_t seed : {11u, 22u, 33u}) {
     const Instance instance =
         geacc::testing::SmallRandomInstance(8, 40, 0.2, 3, seed);
+    const SimilarityFunction& similarity = instance.similarity();
 
-    SolverOptions in_memory_options;
-    in_memory_options.index = "idistance";
-    SolverOptions paged_options;
-    paged_options.index = "idistance-paged";
-    paged_options.storage_budget_bytes = 1024;  // force real paging
+    const IDistanceIndex users(instance.user_attributes(), similarity);
+    const IDistanceIndex events(instance.event_attributes(), similarity);
+    const PagedIDistanceIndex paged_users(instance.user_attributes(),
+                                          similarity, storage);
+    const PagedIDistanceIndex paged_events(instance.event_attributes(),
+                                           similarity, storage);
 
-    const SolveResult expected = GreedySolver(in_memory_options).Solve(instance);
-    const SolveResult actual = GreedySolver(paged_options).Solve(instance);
+    const GreedySolver solver;
+    const SolveResult expected = solver.SolveOver(instance, users, events);
+    const SolveResult actual =
+        solver.SolveOver(instance, paged_users, paged_events);
     EXPECT_EQ(expected.arrangement.SortedPairs(),
               actual.arrangement.SortedPairs())
         << "seed " << seed;
@@ -167,14 +173,6 @@ TEST(GreedySolver, PagedBackendIsBitIdenticalToInMemory) {
     EXPECT_EQ(expected.arrangement.MaxSum(instance),
               actual.arrangement.MaxSum(instance));
   }
-}
-
-TEST(SolverOptions, ValidationCoversStorageKnobs) {
-  SolverOptions options;
-  options.index = "idistance-paged";
-  EXPECT_TRUE(ValidateSolverOptions(options).empty());
-  options.storage_budget_bytes = 512;  // below the 1 KiB floor
-  EXPECT_FALSE(ValidateSolverOptions(options).empty());
 }
 
 }  // namespace
