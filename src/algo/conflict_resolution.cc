@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "algo/admission.h"
 #include "obs/stats.h"
 #include "util/check.h"
 
@@ -21,14 +22,9 @@ std::vector<EventId> GreedySelectNonConflicting(
   selected.reserve(candidates.size());
   const ConflictGraph& conflicts = instance.conflicts();
   for (const EventId v : candidates) {
-    bool ok = true;
-    for (const EventId kept : selected) {
-      if (conflicts.AreConflicting(v, kept)) {
-        ok = false;
-        break;
-      }
+    if (FirstConflict(conflicts, selected, v) == kInvalidEvent) {
+      selected.push_back(v);
     }
-    if (ok) selected.push_back(v);
   }
   GEACC_STATS_ADD("resolve.greedy_evictions",
                   static_cast<int64_t>(candidates.size() - selected.size()));

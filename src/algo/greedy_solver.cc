@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "algo/admission.h"
 #include "index/knn_index.h"
 #include "obs/stats.h"
 #include "util/check.h"
@@ -16,27 +17,18 @@
 namespace geacc {
 namespace {
 
-// Heap entry ordered by (similarity desc, event asc, user asc) so pops are
-// deterministic under similarity ties.
-struct PairEntry {
-  double similarity;
-  EventId v;
-  UserId u;
-
-  bool operator<(const PairEntry& other) const {
-    if (similarity != other.similarity) return similarity < other.similarity;
-    if (v != other.v) return v > other.v;
-    return u > other.u;
+// Max-heap on the admission order: the top admits before every other entry.
+struct AdmitsLater {
+  bool operator()(const Candidate& a, const Candidate& b) const {
+    return AdmitsBefore(b, a);
   }
 };
 
 // Mutable solve-state shared by the helper lambdas.
 struct GreedyState {
-  std::vector<int> event_capacity;
-  std::vector<int> user_capacity;
   std::vector<std::unique_ptr<NnCursor>> event_cursors;  // over users
   std::vector<std::unique_ptr<NnCursor>> user_cursors;   // over events
-  std::priority_queue<PairEntry> heap;
+  std::priority_queue<Candidate, std::vector<Candidate>, AdmitsLater> heap;
   std::unordered_set<uint64_t> pushed;  // pairs ever pushed into the heap
 };
 
@@ -61,10 +53,10 @@ SolveResult GreedySolver::SolveImpl(const Instance& instance,
   SolverStats stats;
   const int num_events = instance.num_events();
   const int num_users = instance.num_users();
-  Arrangement matching(num_events, num_users);
+  Admission admission(instance);
   if (num_events == 0 || num_users == 0) {
     stats.wall_seconds = timer.Seconds();
-    return {std::move(matching), stats};
+    return {admission.TakeArrangement(), stats};
   }
 
   std::unique_ptr<KnnIndex> owned_user_index;
@@ -81,14 +73,6 @@ SolveResult GreedySolver::SolveImpl(const Instance& instance,
   }
 
   GreedyState state;
-  state.event_capacity.resize(num_events);
-  state.user_capacity.resize(num_users);
-  for (EventId v = 0; v < num_events; ++v) {
-    state.event_capacity[v] = instance.event_capacity(v);
-  }
-  for (UserId u = 0; u < num_users; ++u) {
-    state.user_capacity[u] = instance.user_capacity(u);
-  }
   // Cursor creation and NN-frontier seeding fan out over the pool; the
   // iteration loop below is inherently sequential (each pop changes the
   // constraint state the next pop is judged against). Cursors occupy
@@ -114,19 +98,9 @@ SolveResult GreedySolver::SolveImpl(const Instance& instance,
     }
   });
 
-  const ConflictGraph& conflicts = instance.conflicts();
-  // True iff v conflicts with an event already matched to u.
-  auto conflicts_with_matched = [&](EventId v, UserId u) {
-    for (const EventId w : matching.EventsOf(u)) {
-      if (conflicts.AreConflicting(v, w)) return true;
-    }
-    return false;
-  };
-
   // Candidates a cursor skipped because they were already pushed or had
   // become infeasible (lazy re-insert work, batched and flushed below).
   int64_t cursor_skips = 0;
-  int64_t matches = 0;
 
   auto push_pair = [&](EventId v, UserId u, double similarity) {
     if (!state.pushed.insert(PairKey(v, u)).second) return;  // already in H
@@ -134,12 +108,11 @@ SolveResult GreedySolver::SolveImpl(const Instance& instance,
     ++stats.heap_pushes;
   };
 
-  // Advances an event's cursor to its next feasible unvisited user and
-  // pushes the pair. Feasibility at skip time is permanent (capacities
-  // only decrease, conflicts only accumulate), so consumed candidates are
-  // never needed again. `check_constraints` is false during initialization
-  // (Algorithm 2 lines 2–8 push plain first-NNs).
-  auto advance_event = [&](EventId v, bool check_constraints) {
+  // Advances an event's cursor to its next admissible unvisited user and
+  // pushes the pair. Inadmissibility at skip time is permanent (seats
+  // only decrease, held events only accumulate), so consumed candidates
+  // are never needed again.
+  auto advance_event = [&](EventId v) {
     while (true) {
       const auto next = state.event_cursors[v]->Next();
       if (!next) return;                     // v is a finished node
@@ -149,18 +122,16 @@ SolveResult GreedySolver::SolveImpl(const Instance& instance,
         ++cursor_skips;  // visited
         continue;
       }
-      if (check_constraints) {
-        if (state.user_capacity[u] <= 0 || conflicts_with_matched(v, u)) {
-          ++cursor_skips;
-          continue;
-        }
+      if (!admission.Admissible(v, u)) {
+        ++cursor_skips;
+        continue;
       }
       push_pair(v, u, next->similarity);
       return;
     }
   };
 
-  auto advance_user = [&](UserId u, bool check_constraints) {
+  auto advance_user = [&](UserId u) {
     while (true) {
       const auto next = state.user_cursors[u]->Next();
       if (!next) return;
@@ -170,11 +141,9 @@ SolveResult GreedySolver::SolveImpl(const Instance& instance,
         ++cursor_skips;
         continue;
       }
-      if (check_constraints) {
-        if (state.event_capacity[v] <= 0 || conflicts_with_matched(v, u)) {
-          ++cursor_skips;
-          continue;
-        }
+      if (!admission.Admissible(v, u)) {
+        ++cursor_skips;
+        continue;
       }
       push_pair(v, u, next->similarity);
       return;
@@ -182,9 +151,9 @@ SolveResult GreedySolver::SolveImpl(const Instance& instance,
   };
 
   {
-    // Initialization (lines 1–9): each node contributes its first NN.
-    // Serially this is advance_event(v, false) for every v then
-    // advance_user(u, false) for every u; both phases parallelize exactly:
+    // Initialization (lines 1–9): each node contributes its first NN,
+    // unchecked (Algorithm 2 lines 2–8 push plain first-NNs). Events seed
+    // first, then users; both phases parallelize exactly:
     //
     //  * Event phase: cursor v yields only (v, ·) pairs and only event v
     //    ever pushes (v, ·), so the pushed-set check can never fire —
@@ -257,36 +226,27 @@ SolveResult GreedySolver::SolveImpl(const Instance& instance,
     // Iteration (lines 11–23).
     GEACC_PHASE_TIMER("greedy.iterate");
     while (!state.heap.empty()) {
-      const PairEntry top = state.heap.top();
+      const Candidate top = state.heap.top();
       state.heap.pop();
       ++stats.heap_pops;
-      const EventId v = top.v;
-      const UserId u = top.u;
-      if (state.event_capacity[v] > 0 && state.user_capacity[u] > 0 &&
-          !conflicts_with_matched(v, u)) {
-        matching.Add(v, u);
-        ++matches;
-        --state.event_capacity[v];
-        --state.user_capacity[u];
-      }
-      if (state.event_capacity[v] > 0) advance_event(v, true);
-      if (state.user_capacity[u] > 0) advance_user(u, true);
+      admission.TryAdmit(top.event, top.user);
+      if (admission.EventHasSeat(top.event)) advance_event(top.event);
+      if (admission.UserHasSeat(top.user)) advance_user(top.user);
     }
   }
   GEACC_STATS_ADD("greedy.heap_pushes", stats.heap_pushes);
   GEACC_STATS_ADD("greedy.heap_pops", stats.heap_pops);
   GEACC_STATS_ADD("greedy.cursor_skips", cursor_skips);
-  GEACC_STATS_ADD("greedy.matches", matches);
+  GEACC_STATS_ADD("greedy.matches", admission.arrangement().size());
 
   stats.logical_peak_bytes =
-      VectorBytes(state.event_capacity) + VectorBytes(state.user_capacity) +
+      admission.ByteEstimate() +
       state.pushed.size() * (sizeof(uint64_t) + sizeof(void*)) +
-      static_cast<uint64_t>(stats.heap_pushes) * sizeof(PairEntry) +
+      static_cast<uint64_t>(stats.heap_pushes) * sizeof(Candidate) +
       user_index->ByteEstimate() + event_index->ByteEstimate() +
-      (static_cast<uint64_t>(num_events) + num_users) * 1600 +  // cursors
-      matching.ByteEstimate();
+      (static_cast<uint64_t>(num_events) + num_users) * 1600;  // cursors
   stats.wall_seconds = timer.Seconds();
-  return {std::move(matching), stats};
+  return {admission.TakeArrangement(), stats};
 }
 
 }  // namespace geacc

@@ -3,7 +3,8 @@
 // Maintains a max-heap H of candidate pairs. Initially each event
 // contributes its nearest user and each user its nearest event. Each
 // iteration pops the globally most similar candidate, adds it to the
-// matching if capacities and conflicts allow, and refills H with the
+// matching if capacities and conflicts allow (algo/admission holds the
+// heap order, the seats and the conflict scan), and refills H with the
 // popped endpoints' next *feasible unvisited* nearest neighbors, fetched
 // from incremental NN cursors (src/index/). A pair enters H at most once;
 // skipped-because-infeasible neighbors are permanently infeasible

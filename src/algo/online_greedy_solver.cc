@@ -11,13 +11,8 @@ namespace geacc {
 
 OnlineArranger::OnlineArranger(const Instance& instance)
     : instance_(instance),
-      arrangement_(instance.num_events(), instance.num_users()) {
-  event_capacity_.resize(instance.num_events());
-  for (EventId v = 0; v < instance.num_events(); ++v) {
-    event_capacity_[v] = instance.event_capacity(v);
-  }
-  arrived_.assign(instance.num_users(), false);
-}
+      admission_(instance),
+      arrived_(instance.num_users(), false) {}
 
 std::vector<EventId> OnlineArranger::ArriveUser(UserId u) {
   GEACC_CHECK(u >= 0 && u < instance_.num_users())
@@ -38,25 +33,12 @@ std::vector<EventId> OnlineArranger::ArriveUser(UserId u) {
     return a < b;
   });
 
-  std::vector<EventId> taken;
-  int budget = instance_.user_capacity(u);
-  const ConflictGraph& conflicts = instance_.conflicts();
+  // u arrives once, so the events it holds are exactly those taken here.
   for (const EventId v : ranked) {
-    if (budget == 0) break;
-    if (event_capacity_[v] <= 0) continue;
-    bool conflicting = false;
-    for (const EventId w : taken) {
-      if (conflicts.AreConflicting(v, w)) {
-        conflicting = true;
-        break;
-      }
-    }
-    if (conflicting) continue;
-    arrangement_.Add(v, u);
-    --event_capacity_[v];
-    --budget;
-    taken.push_back(v);
+    if (!admission_.UserHasSeat(u)) break;
+    admission_.TryAdmit(v, u);
   }
+  const std::vector<EventId>& taken = admission_.arrangement().EventsOf(u);
   GEACC_STATS_ADD("online.arrivals", 1);
   GEACC_STATS_ADD("online.events_ranked", static_cast<int64_t>(ranked.size()));
   GEACC_STATS_ADD("online.matches", static_cast<int64_t>(taken.size()));

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "algo/admission.h"
 #include "core/instance.h"
 #include "core/solver.h"
 #include "util/check.h"
@@ -51,18 +52,17 @@ class OnlineArranger {
   // the events assigned (possibly empty).
   std::vector<EventId> ArriveUser(UserId u);
 
-  const Arrangement& arrangement() const { return arrangement_; }
+  const Arrangement& arrangement() const { return admission_.arrangement(); }
 
   int remaining_event_capacity(EventId v) const {
     GEACC_CHECK(v >= 0 && v < instance_.num_events())
         << "event id out of range: " << v;
-    return event_capacity_[v];
+    return admission_.event_seats(v);
   }
 
  private:
   const Instance& instance_;
-  Arrangement arrangement_;
-  std::vector<int> event_capacity_;
+  Admission admission_;
   std::vector<bool> arrived_;
 };
 

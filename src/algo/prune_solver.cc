@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "algo/admission.h"
 #include "algo/bounds.h"
 #include "algo/greedy_solver.h"
 #include "obs/stats.h"
@@ -381,7 +382,9 @@ class SearchContext {
 
     const bool addable =
         remaining_event_capacity_[v] > 0 && remaining_user_capacity_[u] > 0 &&
-        similarity > 0.0 && !ConflictsWithMatched(v, u);
+        similarity > 0.0 &&
+        FirstConflict(instance_.conflicts(), current_.EventsOf(u), v) ==
+            kInvalidEvent;
     if (addable) {
       // Branch 1: {v, u} matched (lines 4–19).
       ++stats_->branches_matched;
@@ -400,13 +403,6 @@ class SearchContext {
     // Branch 2: {v, u} unmatched (line 20).
     Advance(event_pos, user_pos);
     --path_pairs_;
-  }
-
-  bool ConflictsWithMatched(EventId v, UserId u) const {
-    for (const EventId w : current_.EventsOf(u)) {
-      if (instance_.conflicts().AreConflicting(v, w)) return true;
-    }
-    return false;
   }
 
   const SearchTables& tables_;

@@ -1,27 +1,12 @@
 #include "algo/random_solvers.h"
 
-#include <vector>
-
+#include "algo/admission.h"
 #include "obs/stats.h"
-#include "util/memory.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
 namespace geacc {
 namespace {
-
-// Shared acceptance logic: a pair is addable if similarity is positive,
-// both sides have remaining capacity, and no conflict with u's matches.
-bool Addable(const Instance& instance, const Arrangement& matching,
-             const std::vector<int>& event_capacity,
-             const std::vector<int>& user_capacity, EventId v, UserId u) {
-  if (event_capacity[v] <= 0 || user_capacity[u] <= 0) return false;
-  if (instance.Similarity(v, u) <= 0.0) return false;
-  for (const EventId w : matching.EventsOf(u)) {
-    if (instance.conflicts().AreConflicting(v, w)) return false;
-  }
-  return true;
-}
 
 SolveResult SolveRandom(const Instance& instance, uint64_t seed,
                         bool event_major) {
@@ -29,31 +14,18 @@ SolveResult SolveRandom(const Instance& instance, uint64_t seed,
   SolverStats stats;
   const int num_events = instance.num_events();
   const int num_users = instance.num_users();
-  Arrangement matching(num_events, num_users);
+  Admission admission(instance);
   Rng rng(seed);
-  std::vector<int> event_capacity(num_events);
-  std::vector<int> user_capacity(num_users);
-  for (EventId v = 0; v < num_events; ++v) {
-    event_capacity[v] = instance.event_capacity(v);
-  }
-  for (UserId u = 0; u < num_users; ++u) {
-    user_capacity[u] = instance.user_capacity(u);
-  }
 
   int64_t pairs_considered = 0;
-  int64_t pairs_matched = 0;
   int64_t infeasible_rejections = 0;
   auto try_add = [&](EventId v, UserId u, double probability) {
     ++pairs_considered;
     if (!rng.Bernoulli(probability)) return;
-    if (!Addable(instance, matching, event_capacity, user_capacity, v, u)) {
+    if (instance.Similarity(v, u) <= 0.0 ||
+        admission.TryAdmit(v, u).verdict != Verdict::kAdmitted) {
       ++infeasible_rejections;
-      return;
     }
-    matching.Add(v, u);
-    ++pairs_matched;
-    --event_capacity[v];
-    --user_capacity[u];
   };
 
   if (event_major) {
@@ -70,13 +42,11 @@ SolveResult SolveRandom(const Instance& instance, uint64_t seed,
     }
   }
   GEACC_STATS_ADD("random.pairs_considered", pairs_considered);
-  GEACC_STATS_ADD("random.pairs_matched", pairs_matched);
+  GEACC_STATS_ADD("random.pairs_matched", admission.arrangement().size());
   GEACC_STATS_ADD("random.infeasible_rejections", infeasible_rejections);
-  stats.logical_peak_bytes = VectorBytes(event_capacity) +
-                             VectorBytes(user_capacity) +
-                             matching.ByteEstimate();
+  stats.logical_peak_bytes = admission.ByteEstimate();
   stats.wall_seconds = timer.Seconds();
-  return {std::move(matching), stats};
+  return {admission.TakeArrangement(), stats};
 }
 
 }  // namespace

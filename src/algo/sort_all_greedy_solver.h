@@ -1,13 +1,15 @@
 // Sort-all greedy baseline (ablation of Greedy-GEACC's lazy heap).
 //
-// Materializes every positive-similarity pair, sorts all |V|·|U| of them
-// by (similarity desc, event asc, user asc), and adds each pair in order
-// if it is feasible at that moment. Because feasibility is monotone
-// (capacities only shrink, conflicts only accumulate), this produces the
-// *identical* matching to Algorithm 2's heap construction — it is the
-// specification Greedy-GEACC is tested against — at Θ(|V||U| log(|V||U|))
-// time and Θ(|V||U|) memory, which is exactly the cost the paper's lazy
-// NN frontiers avoid (quantified in bench/micro_solvers).
+// Materializes every positive-similarity pair and hands all |V|·|U| of
+// them to algo/admission's AdmitInOrder, which sorts them by
+// (similarity desc, event asc, user asc) and admits each pair that is
+// feasible at that moment. Because feasibility is monotone (capacities
+// only shrink, conflicts only accumulate), this produces the *identical*
+// matching to Algorithm 2's heap construction — it is the specification
+// Greedy-GEACC is tested against, and the same pass the sharded repair
+// runs — at Θ(|V||U| log(|V||U|)) time and Θ(|V||U|) memory, which is
+// exactly the cost the paper's lazy NN frontiers avoid (quantified in
+// bench/micro_solvers).
 //
 // Approximation ratio: 1 / (1 + max c_u), inherited from Theorem 3 (the
 // output is pairwise identical to Greedy-GEACC's). Thread-safety:

@@ -6,6 +6,7 @@
 #include <limits>
 #include <utility>
 
+#include "algo/admission.h"
 #include "algo/solvers.h"
 #include "core/masked_similarity.h"
 #include "index/linear_scan_index.h"
@@ -31,16 +32,6 @@ IncrementalArranger::IncrementalArranger(DynamicInstance* instance,
   arrangement_ = Arrangement(instance_->event_slots(),
                              instance_->user_slots());
   event_users_.resize(instance_->event_slots());
-  event_remaining_.resize(instance_->event_slots());
-  user_remaining_.resize(instance_->user_slots());
-  for (EventId v = 0; v < instance_->event_slots(); ++v) {
-    event_remaining_[v] =
-        instance_->event_active(v) ? instance_->event_capacity(v) : 0;
-  }
-  for (UserId u = 0; u < instance_->user_slots(); ++u) {
-    user_remaining_[u] =
-        instance_->user_active(u) ? instance_->user_capacity(u) : 0;
-  }
   RefreshIndexes();
 }
 
@@ -99,8 +90,6 @@ int64_t IncrementalArranger::Apply(const Mutation& mutation) {
 void IncrementalArranger::GrowToInstance() {
   arrangement_.Resize(instance_->event_slots(), instance_->user_slots());
   event_users_.resize(instance_->event_slots());
-  event_remaining_.resize(instance_->event_slots(), 0);
-  user_remaining_.resize(instance_->user_slots(), 0);
 }
 
 void IncrementalArranger::RefreshIndexes() {
@@ -129,8 +118,6 @@ void IncrementalArranger::AddPair(EventId v, UserId u, double similarity) {
       << "AddPair: pair {" << v << "," << u << "} already assigned";
   arrangement_.Add(v, u);
   event_users_[v].push_back(u);
-  --event_remaining_[v];
-  --user_remaining_[u];
   max_sum_ += similarity;
   ++stats_.assignments_added;
 }
@@ -139,28 +126,25 @@ void IncrementalArranger::RemovePair(EventId v, UserId u) {
   arrangement_.Remove(v, u);
   auto& users = event_users_[v];
   users.erase(std::find(users.begin(), users.end(), u));
-  ++event_remaining_[v];
-  ++user_remaining_[u];
   max_sum_ -= instance_->Similarity(v, u);
   ++stats_.assignments_removed;
   GEACC_STATS_ADD("dyn.evictions", 1);
 }
 
-bool IncrementalArranger::ConflictsWithAssigned(EventId v, UserId u) const {
-  const ConflictGraph& conflicts = instance_->conflicts();
-  for (const EventId w : arrangement_.EventsOf(u)) {
-    if (conflicts.AreConflicting(v, w)) return true;
-  }
-  return false;
+bool IncrementalArranger::CanAdmit(EventId v, UserId u) const {
+  return EventSeats(v) > 0 && UserSeats(u) > 0 &&
+         instance_->PairAllowed(v, u) && !arrangement_.Contains(v, u) &&
+         FirstConflict(instance_->conflicts(), arrangement_.EventsOf(u), v) ==
+             kInvalidEvent;
 }
 
 void IncrementalArranger::FillUser(UserId u) {
   if (!options_.refill) return;
-  if (user_remaining_[u] <= 0 || !instance_->user_active(u)) return;
+  if (UserSeats(u) <= 0) return;
   RefreshIndexes();
   const std::unique_ptr<NnCursor> cursor =
       event_index_->CreateCursor(instance_->user_attributes().Row(u));
-  while (user_remaining_[u] > 0) {
+  while (UserSeats(u) > 0) {
     if (steps_left_ <= 0) {
       ++stats_.budget_exhausted;
       GEACC_STATS_ADD("dyn.budget_exhausted", 1);
@@ -172,21 +156,17 @@ void IncrementalArranger::FillUser(UserId u) {
     const auto next = cursor->Next();
     if (!next || next->similarity <= 0.0) return;
     const EventId v = next->id;
-    if (!instance_->event_active(v) || event_remaining_[v] <= 0) continue;
-    if (!instance_->PairAllowed(v, u)) continue;
-    if (arrangement_.Contains(v, u)) continue;
-    if (ConflictsWithAssigned(v, u)) continue;
-    AddPair(v, u, next->similarity);
+    if (CanAdmit(v, u)) AddPair(v, u, next->similarity);
   }
 }
 
 void IncrementalArranger::FillEvent(EventId v) {
   if (!options_.refill) return;
-  if (event_remaining_[v] <= 0 || !instance_->event_active(v)) return;
+  if (EventSeats(v) <= 0) return;
   RefreshIndexes();
   const std::unique_ptr<NnCursor> cursor =
       user_index_->CreateCursor(instance_->event_attributes().Row(v));
-  while (event_remaining_[v] > 0) {
+  while (EventSeats(v) > 0) {
     if (steps_left_ <= 0) {
       ++stats_.budget_exhausted;
       GEACC_STATS_ADD("dyn.budget_exhausted", 1);
@@ -198,18 +178,13 @@ void IncrementalArranger::FillEvent(EventId v) {
     const auto next = cursor->Next();
     if (!next || next->similarity <= 0.0) return;
     const UserId u = next->id;
-    if (!instance_->user_active(u) || user_remaining_[u] <= 0) continue;
-    if (!instance_->PairAllowed(v, u)) continue;
-    if (arrangement_.Contains(v, u)) continue;
-    if (ConflictsWithAssigned(v, u)) continue;
-    AddPair(v, u, next->similarity);
+    if (CanAdmit(v, u)) AddPair(v, u, next->similarity);
   }
 }
 
 void IncrementalArranger::ApplyAddUser(const Mutation& mutation) {
   const UserId u = instance_->AddUser(mutation.attributes, mutation.capacity);
   GrowToInstance();
-  user_remaining_[u] = mutation.capacity;
   FillUser(u);
 }
 
@@ -217,7 +192,6 @@ void IncrementalArranger::ApplyAddEvent(const Mutation& mutation) {
   const EventId v =
       instance_->AddEvent(mutation.attributes, mutation.capacity);
   GrowToInstance();
-  event_remaining_[v] = mutation.capacity;
   FillEvent(v);
 }
 
@@ -226,7 +200,6 @@ void IncrementalArranger::ApplyRemoveUser(const Mutation& mutation) {
   const std::vector<EventId> held = arrangement_.EventsOf(u);
   for (const EventId v : held) RemovePair(v, u);
   instance_->RemoveUser(u);
-  user_remaining_[u] = 0;
   // Freed seats may suit other users; the lost pair value itself is
   // unavoidable, so it does not count toward drift.
   for (const EventId v : held) FillEvent(v);
@@ -237,7 +210,6 @@ void IncrementalArranger::ApplyRemoveEvent(const Mutation& mutation) {
   const std::vector<UserId> held = event_users_[v];
   for (const UserId u : held) RemovePair(v, u);
   instance_->RemoveEvent(v);
-  event_remaining_[v] = 0;
   for (const UserId u : held) FillUser(u);
 }
 
@@ -269,7 +241,6 @@ void IncrementalArranger::ApplySetEventCapacity(const Mutation& mutation) {
   instance_->SetEventCapacity(v, mutation.capacity);
   const int load = arrangement_.EventLoad(v);
   if (mutation.capacity >= load) {
-    event_remaining_[v] = mutation.capacity - load;
     FillEvent(v);
     return;
   }
@@ -285,7 +256,6 @@ void IncrementalArranger::ApplySetEventCapacity(const Mutation& mutation) {
   const int to_evict = load - mutation.capacity;
   const double before = max_sum_;
   for (int i = 0; i < to_evict; ++i) RemovePair(v, roster[i]);
-  event_remaining_[v] = 0;
   for (int i = 0; i < to_evict; ++i) FillUser(roster[i]);
   drift_ += std::max(0.0, before - max_sum_);
 }
@@ -295,7 +265,6 @@ void IncrementalArranger::ApplySetUserCapacity(const Mutation& mutation) {
   instance_->SetUserCapacity(u, mutation.capacity);
   const int load = arrangement_.UserLoad(u);
   if (mutation.capacity >= load) {
-    user_remaining_[u] = mutation.capacity - load;
     FillUser(u);
     return;
   }
@@ -309,7 +278,6 @@ void IncrementalArranger::ApplySetUserCapacity(const Mutation& mutation) {
   const int to_evict = load - mutation.capacity;
   const double before = max_sum_;
   for (int i = 0; i < to_evict; ++i) RemovePair(held[i], u);
-  user_remaining_[u] = 0;
   for (int i = 0; i < to_evict; ++i) FillEvent(held[i]);
   drift_ += std::max(0.0, before - max_sum_);
 }
@@ -335,17 +303,11 @@ void IncrementalArranger::ApplySetEventSlot(const Mutation& mutation) {
     // The rewiring can put v at odds with several of u's other events;
     // resolve pairwise until u's set is conflict-free again or v itself
     // got evicted.
-    const ConflictGraph& conflicts = instance_->conflicts();
     bool holds_v = true;
     bool any_evicted = false;
     while (holds_v) {
-      EventId blocking = kInvalidEvent;
-      for (const EventId w : arrangement_.EventsOf(u)) {
-        if (w != v && conflicts.AreConflicting(v, w)) {
-          blocking = w;
-          break;
-        }
-      }
+      const EventId blocking = FirstConflict(
+          instance_->conflicts(), arrangement_.EventsOf(u), v);
       if (blocking == kInvalidEvent) break;
       const double sim_v = instance_->Similarity(v, u);
       const double sim_w = instance_->Similarity(blocking, u);
@@ -419,14 +381,6 @@ void IncrementalArranger::FullResolve() {
                              instance_->user_slots());
   event_users_.assign(instance_->event_slots(), {});
   max_sum_ = 0.0;
-  for (EventId v = 0; v < instance_->event_slots(); ++v) {
-    event_remaining_[v] =
-        instance_->event_active(v) ? instance_->event_capacity(v) : 0;
-  }
-  for (UserId u = 0; u < instance_->user_slots(); ++u) {
-    user_remaining_[u] =
-        instance_->user_active(u) ? instance_->user_capacity(u) : 0;
-  }
   for (const auto& [dense_v, dense_u] : result.arrangement.SortedPairs()) {
     const EventId v = map.dense_to_event[dense_v];
     const UserId u = map.dense_to_user[dense_u];
@@ -465,14 +419,6 @@ void IncrementalArranger::ResetToEmpty() {
   event_users_.assign(events, {});
   max_sum_ = 0.0;
   drift_ = 0.0;
-  for (EventId v = 0; v < events; ++v) {
-    event_remaining_[v] =
-        instance_->event_active(v) ? instance_->event_capacity(v) : 0;
-  }
-  for (UserId u = 0; u < users; ++u) {
-    user_remaining_[u] =
-        instance_->user_active(u) ? instance_->user_capacity(u) : 0;
-  }
   observed_epoch_ = instance_->epoch();
 }
 
@@ -524,8 +470,6 @@ std::string IncrementalArranger::RestoreStateImpl(const ArrangerState& state) {
         return StrFormat("restored pair {%d,%d} duplicated", v, u);
       }
       arrangement_.Add(v, u);
-      --event_remaining_[v];
-      --user_remaining_[u];
     }
   }
   // The per-event lists must be a reordering of the pairs just added —
@@ -579,9 +523,6 @@ std::string IncrementalArranger::Validate() const {
       return StrFormat("user %d over capacity: %d > %d", u, load,
                        instance_->user_capacity(u));
     }
-    if (user_remaining_[u] != instance_->user_capacity(u) - load) {
-      return StrFormat("user %d remaining-capacity mirror out of sync", u);
-    }
     for (size_t i = 0; i < events.size(); ++i) {
       if (!instance_->event_active(events[i])) {
         return StrFormat("user %d matched to removed event %d", u,
@@ -615,9 +556,6 @@ std::string IncrementalArranger::Validate() const {
     if (load > instance_->event_capacity(v)) {
       return StrFormat("event %d over capacity: %d > %d", v, load,
                        instance_->event_capacity(v));
-    }
-    if (event_remaining_[v] != instance_->event_capacity(v) - load) {
-      return StrFormat("event %d remaining-capacity mirror out of sync", v);
     }
     if (static_cast<int>(event_users_[v].size()) != load) {
       return StrFormat("event %d reverse adjacency out of sync", v);

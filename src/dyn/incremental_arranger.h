@@ -8,7 +8,9 @@
 // LinearScanIndex, whose O(1) rebuild after instance growth suits heavy
 // churn. Refill enumerates candidates in (similarity desc, id asc) order,
 // so an arrival-only trace reproduces OnlineArranger's arrangement exactly
-// (see online_greedy_solver.h).
+// (see online_greedy_solver.h). A refill admits a pair when both sides
+// have a seat (capacity minus current load) and algo/admission's
+// FirstConflict finds no conflict with the user's held events.
 //
 // Two knobs bound the work and the quality loss:
 //
@@ -125,8 +127,7 @@ class IncrementalArranger {
 
   // Empty string when the maintained arrangement is feasible for the live
   // instance: capacities respected, only active entities matched, positive
-  // similarity, no conflicting pair per user, remaining-capacity mirrors
-  // consistent.
+  // similarity, no conflicting pair per user, reverse adjacency in sync.
   std::string Validate() const;
 
   // ----- checkpoint state (svc/paged_checkpoint, DESIGN.md §14) -----
@@ -164,7 +165,8 @@ class IncrementalArranger {
   // RestoreState body; on failure the arrangement may be partial — the
   // public wrapper resets to empty before surfacing the error.
   std::string RestoreStateImpl(const ArrangerState& state);
-  // Drops all assignments and re-syncs the mirrors to the live instance.
+  // Drops all assignments, zeroes MaxSum and drift, and adopts the live
+  // instance epoch.
   void ResetToEmpty();
 
   // Grows the per-slot mirrors after the instance added a slot.
@@ -174,7 +176,22 @@ class IncrementalArranger {
 
   void AddPair(EventId v, UserId u, double similarity);
   void RemovePair(EventId v, UserId u);
-  bool ConflictsWithAssigned(EventId v, UserId u) const;
+
+  // Seats left: capacity − load, 0 for a removed entity.
+  int EventSeats(EventId v) const {
+    return instance_->event_active(v)
+               ? instance_->event_capacity(v) - arrangement_.EventLoad(v)
+               : 0;
+  }
+  int UserSeats(UserId u) const {
+    return instance_->user_active(u)
+               ? instance_->user_capacity(u) - arrangement_.UserLoad(u)
+               : 0;
+  }
+  // Whether a refill may add {v, u}: both have a seat, u's availability
+  // allows v's slot, u does not hold v, and v conflicts with nothing u
+  // holds.
+  bool CanAdmit(EventId v, UserId u) const;
 
   // Greedy refills from NN cursors; consume steps_left_.
   void FillUser(UserId u);
@@ -200,8 +217,6 @@ class IncrementalArranger {
 
   Arrangement arrangement_;
   std::vector<std::vector<UserId>> event_users_;  // reverse adjacency
-  std::vector<int> event_remaining_;  // capacity − load (0 for tombstones)
-  std::vector<int> user_remaining_;
 
   std::unique_ptr<KnnIndex> event_index_;  // over event attributes
   std::unique_ptr<KnnIndex> user_index_;   // over user attributes

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <thread>
 #include <unordered_set>
 
+#include "algo/admission.h"
 #include "core/arrangement.h"
 #include "io/instance_io.h"
 #include "io/trace_io.h"
@@ -516,13 +518,10 @@ std::string ShardCoordinator::RepairPassLocked() {
   if (!error.empty()) return error;
 
   // Stream every shard's unfiltered candidate edges, translated into the
-  // global user id space.
-  struct GlobalCandidate {
-    double similarity;
-    EventId event;
-    UserId user;  // global
-  };
-  std::vector<GlobalCandidate> candidates;
+  // global user id space. Shard replies are outside input: a malformed
+  // edge fails the pass before anything is installed.
+  std::vector<Candidate> candidates;
+  std::unordered_set<uint64_t> seen;
   for (int shard = 0; shard < num_shards(); ++shard) {
     const int32_t local_slots = map_.LocalUserCount(shard);
     for (int32_t first = 0; first < local_slots;
@@ -549,6 +548,20 @@ std::string ShardCoordinator::RepairPassLocked() {
           return StrFormat("shard %d reported unknown local user %d", shard,
                            candidate.user);
         }
+        if (candidate.event < 0 || candidate.event >= mirror_.event_slots()) {
+          return StrFormat("shard %d reported unknown event %d", shard,
+                           candidate.event);
+        }
+        if (!std::isfinite(candidate.similarity) ||
+            candidate.similarity <= 0.0) {
+          return StrFormat("shard %d reported similarity %g for {%d,%d}",
+                           shard, candidate.similarity, candidate.event,
+                           candidate.user);
+        }
+        if (!seen.insert(PairKey(candidate.event, global)).second) {
+          return StrFormat("shard %d reported {%d,%d} twice", shard,
+                           candidate.event, candidate.user);
+        }
         // Slot-availability gate: a pair forbidden by the mirror's
         // time-slot annotations must never reach admission — the shard's
         // arranger would reject the install as infeasible.
@@ -558,31 +571,22 @@ std::string ShardCoordinator::RepairPassLocked() {
     }
   }
 
-  // Global admission — the SortAllGreedySolver loop verbatim, over global
-  // ids and the mirror's capacities and conflict graph. Global user ids
+  // Global admission — SortAllGreedySolver's AdmitInOrder pass over
+  // global ids and the mirror's seats and conflict graph. Global user ids
   // equal single-node slot ids and the shard-computed similarities are
-  // bit-identical to local recomputation, so this ordering (and hence the
-  // admitted set and the running sum) matches the single-node solve.
-  std::sort(candidates.begin(), candidates.end(),
-            [](const GlobalCandidate& a, const GlobalCandidate& b) {
-              if (a.similarity != b.similarity) {
-                return a.similarity > b.similarity;
-              }
-              if (a.event != b.event) return a.event < b.event;
-              return a.user < b.user;
-            });
-
-  std::vector<int> event_capacity(mirror_.event_slots(), 0);
-  std::vector<int> user_capacity(mirror_.user_slots(), 0);
+  // bit-identical to local recomputation, so the admitted set and the
+  // running sum match the single-node solve.
+  std::vector<int> event_seats(mirror_.event_slots(), 0);
+  std::vector<int> user_seats(mirror_.user_slots(), 0);
   for (EventId v = 0; v < mirror_.event_slots(); ++v) {
-    if (mirror_.event_active(v)) event_capacity[v] = mirror_.event_capacity(v);
+    if (mirror_.event_active(v)) event_seats[v] = mirror_.event_capacity(v);
   }
   for (UserId u = 0; u < mirror_.user_slots(); ++u) {
-    if (mirror_.user_active(u)) user_capacity[u] = mirror_.user_capacity(u);
+    if (mirror_.user_active(u)) user_seats[u] = mirror_.user_capacity(u);
   }
-  const ConflictGraph& conflicts = mirror_.conflicts();
+  Admission admission(std::move(event_seats), std::move(user_seats),
+                      mirror_.conflicts());
 
-  std::vector<std::vector<EventId>> held(mirror_.user_slots());
   std::vector<std::vector<std::pair<int32_t, int32_t>>> installs(num_shards());
   std::vector<double> shard_sums(num_shards(), 0.0);
   std::vector<std::pair<EventId, UserId>> admitted;
@@ -590,39 +594,31 @@ std::string ShardCoordinator::RepairPassLocked() {
   int64_t rejected_capacity = 0;
   int64_t rejected_conflict = 0;
   int64_t cross_edge = 0;
-
-  for (const GlobalCandidate& candidate : candidates) {
-    if (event_capacity[candidate.event] <= 0 ||
-        user_capacity[candidate.user] <= 0) {
-      ++rejected_capacity;
-      continue;
-    }
-    EventId blocking = kInvalidEvent;
-    for (const EventId w : held[candidate.user]) {
-      if (conflicts.AreConflicting(candidate.event, w)) {
-        blocking = w;
-        break;
-      }
-    }
-    if (blocking != kInvalidEvent) {
-      ++rejected_conflict;
-      // Edge-ownership accounting: the lowest endpoint home owns the
-      // admit/reject decision; a cross-shard edge doing the rejecting is
-      // the case single-shard repair never sees.
-      if (IsCrossShardEdge(candidate.event, blocking, num_shards())) {
-        ++cross_edge;
-      }
-      continue;
-    }
-    held[candidate.user].push_back(candidate.event);
-    --event_capacity[candidate.event];
-    --user_capacity[candidate.user];
-    admitted.emplace_back(candidate.event, candidate.user);
-    global_sum += candidate.similarity;
+  AdmitInOrder(candidates, admission, [&](const Candidate& candidate,
+                                          AdmitResult result) {
     const ShardMap::Placement placement = map_.UserHome(candidate.user);
-    installs[placement.shard].emplace_back(candidate.event, placement.local);
-    shard_sums[placement.shard] += candidate.similarity;
-  }
+    switch (result.verdict) {
+      case Verdict::kNoSeat:
+        ++rejected_capacity;
+        return;
+      case Verdict::kConflict:
+        ++rejected_conflict;
+        // A rejection is charged to the blocking edge's owner; it counts
+        // as cross-edge when that owner is not the user's home shard.
+        if (EdgeOwnerShard(candidate.event, result.blocking, num_shards()) !=
+            placement.shard) {
+          ++cross_edge;
+        }
+        return;
+      case Verdict::kAdmitted:
+        admitted.emplace_back(candidate.event, candidate.user);
+        global_sum += candidate.similarity;
+        installs[placement.shard].emplace_back(candidate.event,
+                                               placement.local);
+        shard_sums[placement.shard] += candidate.similarity;
+        return;
+    }
+  });
 
   // Install each shard's slice (admission order preserved), then wait for
   // the shard to apply and publish it.

@@ -22,17 +22,19 @@
 // Epoch repair (the conflict-resolution pass): after a Barrier() (every
 // shard's epoch has caught up to its sent count), the coordinator streams
 // every shard's unfiltered positive-similarity candidate edges, translates
-// local→global user ids, sorts the union by (similarity desc, event asc,
-// user asc), and admits sequentially against the mirror's global event
-// capacities, user capacities, and conflict graph — exactly the
-// SortAllGreedySolver loop, which is what makes a sharded arrangement
-// bit-identical to the single-node solve of the same instance. Conflict
-// rejections across a cross-shard edge are charged to the edge's owner
-// (lowest-endpoint-home) shard. The admitted per-shard slices are pushed
-// back via InstallArrangement (piggybacked on the shards' snapshot
-// publication), so every shard serves its slice of the repaired global
-// arrangement; installs are not WAL-logged — after a shard failover the
-// next pass re-installs.
+// local→global user ids, and runs algo/admission's AdmitInOrder over the
+// union against the mirror's global seats and conflict graph — the same
+// pass SortAllGreedySolver runs, which is what makes a sharded arrangement
+// bit-identical to the single-node solve of the same instance. A candidate
+// page with an unknown user or event, a non-finite or non-positive
+// similarity, or a repeated (event, user) fails the pass before anything
+// is installed. Each conflict rejection is charged to the blocking edge's
+// owner (lowest-endpoint-home) shard and counts in cross_edge_rejects when
+// that owner is not the candidate user's home shard. The admitted
+// per-shard slices are pushed back via InstallArrangement (piggybacked on
+// the shards' snapshot publication), so every shard serves its slice of
+// the repaired global arrangement; installs are not WAL-logged — after a
+// shard failover the next pass re-installs.
 //
 // Reads fan out and merge deterministically: GetAttendees unions every
 // shard's local attendees (translated to global ids, sorted ascending);

@@ -24,10 +24,6 @@ int EdgeOwnerShard(EventId a, EventId b, int num_shards) {
   return home_a < home_b ? home_a : home_b;
 }
 
-bool IsCrossShardEdge(EventId a, EventId b, int num_shards) {
-  return HomeShard(a, num_shards) != HomeShard(b, num_shards);
-}
-
 ShardMap::ShardMap(int num_shards)
     : num_shards_(num_shards), local_to_global_(num_shards) {
   GEACC_CHECK(num_shards >= 1);

@@ -7,9 +7,10 @@
 // (the event table is small next to the user table in the paper's EBSN
 // setting), but each event still has a notional home from the same hash;
 // a conflict edge {a, b} is owned by the *lowest* home shard among its
-// endpoints, and a cross-shard edge (endpoint homes differ) that rejects
-// a candidate in the repair pass is charged to that owner in the
-// coordinator's cross_edge_rejects counter.
+// endpoints. A conflict rejection in the repair pass is charged to the
+// blocking edge's owner, and counts in the coordinator's
+// cross_edge_rejects when that owner differs from the candidate user's
+// home shard.
 //
 // ShardMap is the coordinator's id bookkeeping. Global user ids are the
 // coordinator's own slot ids — identical to the ids a single-node
@@ -41,9 +42,6 @@ int HomeShard(int32_t id, int num_shards);
 
 // Owner of conflict edge {a, b}: the lowest home shard among endpoints.
 int EdgeOwnerShard(EventId a, EventId b, int num_shards);
-
-// Whether edge {a, b} spans shards (its endpoints' homes differ).
-bool IsCrossShardEdge(EventId a, EventId b, int num_shards);
 
 class ShardMap {
  public:

@@ -5,9 +5,11 @@
 // mirroring the base registry's coverage of the quality/cost spectrum:
 //
 //  * "slot-greedy" — one pass over (similarity, event, user, slot)
-//    candidates in the SortAllGreedy admission order, fixing each event's
-//    slot at its first admitted pair. Linearithmic in the candidate count;
-//    no optimality guarantee, but always jointly feasible.
+//    candidates in algo/admission's AdmitsBefore order (slot as the last
+//    tie-break), fixing each event's slot at its first admitted pair. It
+//    keeps its own admission loop: conflicts are tested between slot
+//    windows, not on a conflict graph. Linearithmic in the candidate
+//    count; no optimality guarantee, but always jointly feasible.
 //  * "slot-mcf-sweep" — enumerates candidate slottings (cartesian product
 //    of the allowed-slot sets, lexicographic), prunes slottings dominated
 //    by an already-priced one (identical per-event admissible user sets

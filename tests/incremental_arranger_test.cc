@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/online_greedy_solver.h"
@@ -179,6 +183,33 @@ TEST(IncrementalArranger, ArrivalOnlyTraceMatchesOnlineArranger) {
               online.arrangement().SortedPairs())
         << "seed " << seed;
     EXPECT_EQ(arranger.Validate(), "") << "seed " << seed;
+  }
+}
+
+TEST(IncrementalArranger, InstallRejectsOverCapacityPairs) {
+  // Seats are capacity minus load, not stored counts, so an installed or
+  // restored pair set that overfills an event or a user must still be
+  // refused by Validate().
+  const Instance seed = MakeTableInstance({{0.9, 0.8}, {0.7, 0.6}}, {1, 2},
+                                          {1, 2}, {});
+  DynamicInstance dynamic(seed);
+  IncrementalArranger arranger(&dynamic, PureRepair());
+  const struct {
+    std::vector<std::pair<EventId, UserId>> pairs;
+    const char* error;
+  } cases[] = {
+      {{{0, 0}, {0, 1}}, "event 0 over capacity"},
+      {{{0, 0}, {1, 0}}, "user 0 over capacity"},
+  };
+  for (const auto& bad : cases) {
+    double sum = 0.0;
+    for (const auto& [v, u] : bad.pairs) sum += seed.Similarity(v, u);
+    uint64_t bits = 0;
+    std::memcpy(&bits, &sum, sizeof(bits));
+    const std::string error = arranger.InstallArrangement(bad.pairs, bits);
+    EXPECT_NE(error.find(bad.error), std::string::npos) << error;
+    EXPECT_EQ(arranger.arrangement().size(), 0);
+    EXPECT_EQ(arranger.Validate(), "");
   }
 }
 

@@ -1,12 +1,14 @@
 // Tests for the shard coordinator (shard/coordinator.h): deterministic
 // read-merge tie-breaks, routing determinism across coordinator
-// incarnations, cross-shard conflict admission/rejection accounting, and
-// the headline contract — a sharded repair pass is bit-identical to the
+// incarnations, cross-shard conflict admission/rejection accounting,
+// rejection of malformed shard candidates, and the headline contract — a sharded repair pass is bit-identical to the
 // single-node greedy-sortall solve of the same instance (DESIGN.md §16).
 
 #include "shard/coordinator.h"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,6 +21,7 @@
 #include "core/attributes.h"
 #include "core/conflict_graph.h"
 #include "core/instance.h"
+#include "dyn/mutation.h"
 #include "gen/synthetic.h"
 #include "shard/partition.h"
 #include "svc/client.h"
@@ -29,7 +32,26 @@
 namespace geacc::shard {
 namespace {
 
+using svc::ScoredCandidate;
 using svc::ScoredEvent;
+
+// An in-process shard client whose Candidates pages pass through
+// `corrupt` when it is set, so tests can feed the coordinator malformed
+// shard output.
+class CorruptibleClient : public svc::InProcessClient {
+ public:
+  using svc::InProcessClient::InProcessClient;
+
+  svc::RpcStatus Candidates(UserId first_user, int user_count,
+                            std::vector<ScoredCandidate>* out) override {
+    const svc::RpcStatus status =
+        svc::InProcessClient::Candidates(first_user, user_count, out);
+    if (status == svc::RpcStatus::kOk && corrupt) corrupt(out);
+    return status;
+  }
+
+  std::function<void(std::vector<ScoredCandidate>*)> corrupt;
+};
 
 // An in-process N-shard topology: empty score-only shard services behind
 // InProcessClients, plus a coordinator over them. The same construction
@@ -47,7 +69,7 @@ class Topology {
       services_.push_back(std::make_unique<svc::ArrangementService>(
           std::move(empty), shard_options));
       clients_.push_back(
-          std::make_unique<svc::InProcessClient>(services_.back().get()));
+          std::make_unique<CorruptibleClient>(services_.back().get()));
       raw_clients_.push_back(clients_.back().get());
     }
     coordinator_ = std::make_unique<ShardCoordinator>(
@@ -59,10 +81,11 @@ class Topology {
   }
 
   ShardCoordinator& coordinator() { return *coordinator_; }
+  CorruptibleClient& client(int shard) { return *clients_[shard]; }
 
  private:
   std::vector<std::unique_ptr<svc::ArrangementService>> services_;
-  std::vector<std::unique_ptr<svc::InProcessClient>> clients_;
+  std::vector<std::unique_ptr<CorruptibleClient>> clients_;
   std::vector<svc::ServiceClient*> raw_clients_;
   std::unique_ptr<ShardCoordinator> coordinator_;
 };
@@ -145,7 +168,6 @@ TEST(ShardCoordinator, RoutingIsDeterministicAcrossIncarnations) {
 }
 
 TEST(ShardCoordinator, CrossShardConflictRejectionIsChargedToEdgeOwner) {
-  constexpr int kShards = 2;
   // Two conflicting events, both wanted by user 0 (capacity 2): greedy
   // admits the better-scored event, then rejects the other on the
   // conflict edge. User 1 sits close to event 1, so the edge still
@@ -160,33 +182,124 @@ TEST(ShardCoordinator, CrossShardConflictRejectionIsChargedToEdgeOwner) {
   ASSERT_GT(instance.Similarity(a, contested),
             instance.Similarity(b, contested));
 
-  Topology topology(kShards, instance);
-  ShardCoordinator& coordinator = topology.coordinator();
-  ASSERT_EQ(coordinator.ApplyInstance(instance), "");
-  ASSERT_EQ(coordinator.RepairPass(), "");
+  int64_t charged = 0;
+  for (const int shards : {2, 3, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Topology topology(shards, instance);
+    ShardCoordinator& coordinator = topology.coordinator();
+    ASSERT_EQ(coordinator.ApplyInstance(instance), "");
+    ASSERT_EQ(coordinator.RepairPass(), "");
 
-  Arrangement merged(instance.num_events(), instance.num_users());
-  for (const auto& [event, user] : coordinator.arrangement()) {
-    merged.Add(event, user);
+    Arrangement merged(instance.num_events(), instance.num_users());
+    for (const auto& [event, user] : coordinator.arrangement()) {
+      merged.Add(event, user);
+    }
+    const auto pairs = merged.SortedPairs();
+    const std::vector<std::pair<EventId, UserId>> expected = {
+        {a, contested}, {b, other}};
+    EXPECT_EQ(pairs, expected);
+
+    const svc::ShardTopologyStats stats = coordinator.Stats();
+    EXPECT_EQ(stats.shard_count, shards);
+    EXPECT_EQ(stats.repair_admitted, 2);
+    // (a, other) dies on event a's capacity; (b, contested) survives the
+    // capacity checks (b has a free slot) and dies on the conflict edge.
+    EXPECT_EQ(stats.repair_rejected_capacity, 1);
+    EXPECT_EQ(stats.repair_rejected_conflict, 1);
+    // The (b, contested) rejection is charged to the edge's owner shard;
+    // it counts as a cross-edge reject exactly when that owner differs
+    // from the contested user's home shard.
+    const int64_t expected_cross =
+        EdgeOwnerShard(a, b, shards) != HomeShard(contested, shards) ? 1 : 0;
+    EXPECT_EQ(stats.cross_edge_rejects, expected_cross);
+    charged += stats.cross_edge_rejects;
   }
-  const auto pairs = merged.SortedPairs();
-  const std::vector<std::pair<EventId, UserId>> expected = {{a, contested},
-                                                           {b, other}};
-  EXPECT_EQ(pairs, expected);
+  // Some shard count must charge the rejection, or the loop would only
+  // ever check zeros.
+  EXPECT_GT(charged, 0);
+}
 
-  const svc::ShardTopologyStats stats = coordinator.Stats();
-  EXPECT_EQ(stats.shard_count, kShards);
-  EXPECT_EQ(stats.repair_admitted, 2);
-  // (a, other) dies on event a's capacity; (b, contested) survives the
-  // capacity checks (b has a free slot) and dies on the conflict edge.
-  EXPECT_EQ(stats.repair_rejected_capacity, 1);
-  EXPECT_EQ(stats.repair_rejected_conflict, 1);
-  // The (b, contested) rejection is charged to the edge's owner shard; it
-  // counts as a cross-edge reject exactly when that owner differs from
-  // the contested user's home shard.
-  const int64_t expected_cross =
-      EdgeOwnerShard(a, b, kShards) != HomeShard(contested, kShards) ? 1 : 0;
-  EXPECT_EQ(stats.cross_edge_rejects, expected_cross);
+TEST(ShardCoordinator, RepairPassRejectsMalformedCandidatesBeforeInstalling) {
+  using Page = std::vector<ScoredCandidate>;
+  const Instance instance = SmallInstance(/*seed=*/5, /*events=*/6,
+                                          /*users=*/24);
+  constexpr int kShards = 3;
+  constexpr int kBadShard = kShards - 1;
+  // Each case appends one bad edge to every page the last shard returns.
+  auto append = [](EventId event, double similarity) {
+    return [=](Page* page) {
+      if (!page->empty()) page->push_back({page->front().user, event,
+                                           similarity});
+    };
+  };
+  const struct {
+    const char* name;
+    std::function<void(Page*)> corrupt;
+  } cases[] = {
+      {"event id INT32_MAX",
+       append(std::numeric_limits<int32_t>::max(), 0.5)},
+      {"event id == event slots", append(instance.num_events(), 0.5)},
+      {"negative event id", append(-1, 0.5)},
+      {"NaN similarity",
+       append(0, std::numeric_limits<double>::quiet_NaN())},
+      {"infinite similarity",
+       append(0, std::numeric_limits<double>::infinity())},
+      {"zero similarity", append(0, 0.0)},
+      {"negative similarity", append(0, -0.5)},
+      {"repeated pair",
+       [](Page* page) {
+         if (!page->empty()) page->push_back(page->front());
+       }},
+  };
+  for (const auto& bad : cases) {
+    SCOPED_TRACE(bad.name);
+    Topology topology(kShards, instance);
+    ShardCoordinator& coordinator = topology.coordinator();
+    ASSERT_EQ(coordinator.ApplyInstance(instance), "");
+    ASSERT_EQ(coordinator.RepairPass(), "");
+    const auto previous = coordinator.arrangement();
+    std::vector<int64_t> previous_pairs(kShards);
+    for (int shard = 0; shard < kShards; ++shard) {
+      svc::ServiceStatsView stats;
+      ASSERT_EQ(topology.client(shard).GetStats(&stats), svc::RpcStatus::kOk);
+      previous_pairs[shard] = stats.pairs;
+    }
+    ASSERT_GT(previous.size(), 0u);
+    // More seats everywhere: a pass that installed anything would change
+    // what the shards hold.
+    for (EventId v = 0; v < instance.num_events(); ++v) {
+      ASSERT_EQ(coordinator.Apply(Mutation::SetEventCapacity(
+                    v, instance.event_capacity(v) + 10)),
+                "");
+    }
+
+    topology.client(kBadShard).corrupt = bad.corrupt;
+    const std::string error = coordinator.RepairPass();
+    EXPECT_NE(error.find("shard " + std::to_string(kBadShard)),
+              std::string::npos)
+        << error;
+    topology.client(kBadShard).corrupt = nullptr;
+
+    EXPECT_EQ(coordinator.arrangement(), previous);
+    for (int shard = 0; shard < kShards; ++shard) {
+      svc::ServiceStatsView stats;
+      ASSERT_EQ(topology.client(shard).GetStats(&stats), svc::RpcStatus::kOk);
+      EXPECT_EQ(stats.pairs, previous_pairs[shard]) << "shard " << shard;
+    }
+    Arrangement merged(instance.num_events(), instance.num_users());
+    for (const auto& [event, user] : previous) merged.Add(event, user);
+    for (UserId user = 0; user < instance.num_users(); ++user) {
+      std::vector<EventId> events;
+      ASSERT_EQ(coordinator.GetAssignments(user, &events), "");
+      std::vector<EventId> expected = merged.EventsOf(user);
+      std::sort(events.begin(), events.end());
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(events, expected) << "user " << user;
+    }
+    // The same pass over clean pages does change the arrangement.
+    ASSERT_EQ(coordinator.RepairPass(), "");
+    EXPECT_NE(coordinator.arrangement(), previous);
+  }
 }
 
 TEST(ShardCoordinator, ReadsMatchTheRepairedArrangement) {
