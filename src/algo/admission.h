@@ -8,15 +8,16 @@
 // specification and the sharded repair pass admit the identical set, and
 // why Theorem 3's 1 / (1 + max c_u) bound carries over to each of them.
 //
-// Callers: GreedySolver (heap order, seats and cursor-skip checks),
-// SortAllGreedySolver and ShardCoordinator's repair pass (AdmitInOrder),
-// RandomV/USolver and OnlineArranger (TryAdmit), and — conflict scan only —
-// MinCostFlow's conflict resolution, PruneSolver and IncrementalArranger,
-// whose seats live in their own search or repair state. The slot-greedy
-// solver tests slot windows instead of the conflict graph and does not
-// use this module; the brute-force solver and the feasibility checkers
-// (verify/audit, Arrangement::Validate, IncrementalArranger::Validate)
-// stay independent of it on purpose.
+// Callers: GreedySolver (heap order, cursor-skip checks, and the user seats
+// its cursors filter on), SortAllGreedySolver and ShardCoordinator's
+// repair pass (AdmitInOrder), RandomV/USolver and OnlineArranger
+// (TryAdmit), and — conflict scan only — MinCostFlow's conflict
+// resolution, PruneSolver and IncrementalArranger, whose seats live in
+// their own search or repair state. The slot-greedy solver tests slot
+// windows instead of the conflict graph and does not use this module; the
+// brute-force solver and the feasibility checkers (verify/audit,
+// Arrangement::Validate, IncrementalArranger::Validate) stay independent
+// of it on purpose.
 //
 // Thread-safety: free functions are pure; an Admission is single-writer.
 
@@ -79,6 +80,9 @@ class Admission {
   bool EventHasSeat(EventId v) const { return event_seats_[v] > 0; }
   bool UserHasSeat(UserId u) const { return user_seats_[u] > 0; }
   int event_seats(EventId v) const { return event_seats_[v]; }
+  // Every user's seats left, by user id. The vector lives as long as the
+  // Admission and its entries only fall, as a seat-filtered cursor needs.
+  const std::vector<int>& user_seats() const { return user_seats_; }
 
   // Whether TryAdmit(v, u) would admit, without admitting.
   bool Admissible(EventId v, UserId u) const {

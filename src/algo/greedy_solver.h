@@ -1,28 +1,39 @@
 // Greedy-GEACC (paper Algorithm 2, Section III.B).
 //
-// Maintains a max-heap H of candidate pairs. Initially each event
-// contributes its nearest user and each user its nearest event. Each
-// iteration pops the globally most similar candidate, adds it to the
-// matching if capacities and conflicts allow (algo/admission holds the
-// heap order, the seats and the conflict scan), and refills H with the
-// popped endpoints' next *feasible unvisited* nearest neighbors, fetched
-// from incremental NN cursors (src/index/). A pair enters H at most once;
-// skipped-because-infeasible neighbors are permanently infeasible
-// (capacities only decrease, matchings only grow), so consuming them from
-// the cursor is safe.
+// Maintains a max-heap H of candidate pairs holding at most one pair per
+// event: event v's next *admissible* user, fetched from v's incremental NN
+// cursor over the users (src/index/). Each iteration pops the globally
+// first candidate, adds it to the matching if capacities and conflicts
+// allow (algo/admission holds the heap order, the seats and the conflict
+// scan), and, while v has a seat left, refills H from v's cursor. The
+// cursors are linear scans filtered by the Admission's user seats, so a
+// refill never returns a user with no seat left; a user the cursor still
+// yields but who became inadmissible is skipped.
+//
+// Why this admits exactly what the sort-all specification does
+// (SortAllGreedySolver): every positive pair sits in exactly one event's
+// cursor, each cursor yields its pairs in admission order, and H pops the
+// ≤ |V| cursor heads in admission order — a lazy k-way merge of the sorted
+// pair list. A pair the seat filter drops or the cursor skips is
+// inadmissible at that moment, and since seats only fall and held events
+// only accumulate, sort-all would refuse it too.
 //
 // Approximation ratio: 1 / (1 + max c_u) (Theorem 3). In practice it beats
 // MinCostFlow-GEACC on every metric — the paper's headline result.
 //
-// Complexity: O(M log M + C·I) where M ≤ Σc_v + Σc_u is the number of
-// heap operations (each accepted pair frees at most two refills), C the
-// cursor advances, and I the per-advance index cost (O(|U| / batch) for
-// the linear cursor) — near-linear in practice (Fig. 5 a–b). Memory is
-// O(|V| + |U|) beyond the index.
+// Complexity: O(P log |V|) for the P heap pops (each admits a pair or
+// refuses one that became inadmissible after it was pushed), plus the
+// cursor refills: each scores all |U| users (O(|U|·d)) and selects the
+// next batch of b seated users (O(|U| log b)), with b doubling per refill,
+// so a cursor run k users deep pays O(log k) refills. Memory is O(|V|)
+// cursors and heap entries, plus the seats and the arrangement.
 //
 // Thread-safety: Solve() is const and re-entrant; all search state is
-// per-call. Counters reported: greedy.heap_pushes/heap_pops,
-// greedy.cursor_skips, greedy.matches (+ index.* from the cursors).
+// per-call. The cursors open and take their first pair in parallel over
+// the events (SolverOptions::threads); the iteration is sequential.
+// Counters reported: greedy.heap_pushes (== heap_pops), greedy.cursor_skips
+// (pairs a cursor yielded that were no longer admissible), greedy.matches,
+// and the cursors' own index.linear.{refills, points_scanned, cursor_steps}.
 
 #ifndef GEACC_ALGO_GREEDY_SOLVER_H_
 #define GEACC_ALGO_GREEDY_SOLVER_H_
@@ -31,7 +42,6 @@
 
 #include "core/instance.h"
 #include "core/solver.h"
-#include "index/knn_index.h"
 
 namespace geacc {
 
@@ -42,19 +52,7 @@ class GreedySolver final : public Solver {
   std::string Name() const override { return "greedy"; }
   SolveResult Solve(const Instance& instance) const override;
 
-  // Solve() with the cursors over caller-built indexes instead of the ones
-  // MakeIndex picks: `user_index` over instance.user_attributes(),
-  // `event_index` over instance.event_attributes(). Every backend
-  // enumerates in the same order, so the arrangement is Solve()'s bit for
-  // bit; tests use this to check greedy over each backend.
-  SolveResult SolveOver(const Instance& instance, const KnnIndex& user_index,
-                        const KnnIndex& event_index) const;
-
  private:
-  // Null indexes are built with MakeIndex.
-  SolveResult SolveImpl(const Instance& instance, const KnnIndex* user_index,
-                        const KnnIndex* event_index) const;
-
   SolverOptions options_;
 };
 

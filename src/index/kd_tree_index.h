@@ -4,9 +4,9 @@
 // bounding box; leaves hold up to kLeafSize points. Search: a priority
 // queue ordered by minimum possible squared distance interleaves tree nodes
 // and exact points, yielding points in non-decreasing distance — which for
-// Euclidean-monotone similarities is non-increasing similarity, the order
-// Greedy-GEACC's cursors need. Runs of equal similarity are re-ordered by
-// id, so the enumeration matches LinearScanIndex exactly.
+// Euclidean-monotone similarities is non-increasing similarity, the
+// NnCursor order. Runs of equal similarity are re-ordered by id, so the
+// enumeration matches LinearScanIndex exactly.
 //
 // In high dimensions (the paper's default d = 20) a kd-tree degenerates
 // toward a scan; it still satisfies the cursor contract, but MakeIndex

@@ -1,8 +1,8 @@
 // Nearest-neighbor index abstraction (the paper's σ(S) oracle).
 //
-// Greedy-GEACC repeatedly asks each node for its *next* most similar
-// counterpart ("next feasible unvisited NN", Algorithm 2). That access
-// pattern is an incremental NN enumeration, which NnCursor models: Next()
+// Greedy-GEACC repeatedly asks each event for its *next* most similar
+// user ("next feasible unvisited NN", Algorithm 2). That access pattern
+// is an incremental NN enumeration, which NnCursor models: Next()
 // yields points in non-increasing similarity order, each point exactly
 // once. Four backends are provided:
 //
@@ -16,9 +16,10 @@
 //    with an expanding search radius.
 //
 // All four produce the identical enumeration (similarity desc, id asc);
-// they differ only in cost profile. Solvers take the index MakeIndex picks
-// from the data (kd-tree or linear scan); the by-name factory reaches any
-// backend, for benches and tests.
+// they differ only in cost profile. No solver goes through MakeIndex:
+// Greedy-GEACC runs LinearScanIndex's seat-filtered cursors, and
+// IncrementalArranger its plain linear cursors. Both factories below
+// serve benches and tests.
 
 #ifndef GEACC_INDEX_KNN_INDEX_H_
 #define GEACC_INDEX_KNN_INDEX_H_
@@ -81,14 +82,14 @@ class KnnIndex {
 std::unique_ptr<NnCursor> OrderTiesById(std::unique_ptr<NnCursor> inner);
 
 // Highest dimensionality at which MakeIndex picks the kd-tree. Up to it,
-// greedy over the kd-tree took >= 10% less CPU than over linear scan with
-// no more peak RSS; above it, it did not (measurements in DESIGN.md §3).
+// greedy over the kd-tree took >= 10% less CPU than over unfiltered linear
+// scan with no more peak RSS; above it, it did not (measurements in
+// DESIGN.md §3, taken before greedy's cursors became seat-filtered).
 inline constexpr int kKdTreeMaxDim = 3;
 
-// Builds the index Greedy-GEACC's cursors run over: a KdTreeIndex when
-// `similarity` is Euclidean-monotone and points.dim() <= kKdTreeMaxDim,
-// a LinearScanIndex otherwise. `points` and `similarity` must outlive the
-// index.
+// Picks a backend from the data: a KdTreeIndex when `similarity` is
+// Euclidean-monotone and points.dim() <= kKdTreeMaxDim, a LinearScanIndex
+// otherwise. `points` and `similarity` must outlive the index.
 std::unique_ptr<KnnIndex> MakeIndex(const AttributeMatrix& points,
                                     const SimilarityFunction& similarity);
 

@@ -4,6 +4,7 @@
 
 #include "obs/stats.h"
 #include "util/arena.h"
+#include "util/check.h"
 
 namespace geacc {
 namespace {
@@ -16,22 +17,27 @@ bool MoreSimilar(const Neighbor& a, const Neighbor& b) {
 
 // Incremental enumeration with bounded memory: each refill rescans the
 // points and collects the next batch of items that follow the last
-// returned neighbor in the MoreSimilar order. Greedy-GEACC keeps |V| + |U|
-// cursors alive at once and typically consumes only a short prefix of
-// each, so the rescan trade beats a full per-cursor sort (O(n log n) time,
-// O(n) space). The batch doubles after every refill (64, 128, …, 16384):
-// cursors that do run deep — e.g. events hunting for scarce user capacity
-// — pay O(n·log n) total instead of O(n²/64), without inflating the memory
-// of the many shallow cursors.
+// returned neighbor in the MoreSimilar order. Greedy-GEACC keeps one
+// cursor per event alive at once and typically consumes only a short
+// prefix of each, so the rescan trade beats a full per-cursor sort
+// (O(n log n) time, O(n) space). The batch doubles after every refill
+// (64, 128, …, 16384): cursors that do run deep — e.g. events hunting for
+// scarce user capacity — pay O(n·log n) total instead of O(n²/64), without
+// inflating the memory of the many shallow cursors. With `seats` set, a
+// refill leaves out every point whose entry is <= 0 (see the header).
 class BatchedLinearCursor final : public NnCursor {
  public:
   static constexpr size_t kInitialBatch = 64;
   static constexpr size_t kMaxBatch = 16384;
 
+  // `seats` is null for the plain cursor.
   BatchedLinearCursor(const AttributeMatrix& points,
                       const SimilarityFunction& similarity,
-                      const double* query)
-      : points_(points), similarity_(similarity), query_(query) {}
+                      const double* query, const int* seats)
+      : points_(points),
+        similarity_(similarity),
+        query_(query),
+        seats_(seats) {}
 
   // Per-step counts are batched into members and flushed once here: a
   // registry touch per Next() would be the hottest stats site in the
@@ -74,6 +80,7 @@ class BatchedLinearCursor final : public NnCursor {
     similarity_.ComputeBatch(query_, points_.Blocked(), simd::FpMode::kStrict,
                              sims);
     for (int i = 0; i < points_.rows(); ++i) {
+      if (seats_ != nullptr && seats_[i] <= 0) continue;  // no seat left
       const Neighbor candidate{i, sims[i]};
       if (have_threshold_ && !MoreSimilar(last_returned_, candidate)) {
         continue;  // already emitted in an earlier batch
@@ -95,13 +102,15 @@ class BatchedLinearCursor final : public NnCursor {
     std::sort_heap(buffer_.begin(), buffer_.end(), best_first);
     last_returned_ = buffer_.back();
     have_threshold_ = true;
-    if (buffer_.size() < batch) exhausted_ = true;  // final partial batch
+    // Final partial batch: seats only fall, so no later refill finds more.
+    if (buffer_.size() < batch) exhausted_ = true;
     return true;
   }
 
   const AttributeMatrix& points_;
   const SimilarityFunction& similarity_;
   const double* query_;
+  const int* seats_;
   std::vector<Neighbor> buffer_;
   size_t batch_ = kInitialBatch;
   size_t position_ = 0;
@@ -140,7 +149,15 @@ std::vector<Neighbor> LinearScanIndex::Query(const double* query,
 
 std::unique_ptr<NnCursor> LinearScanIndex::CreateCursor(
     const double* query) const {
-  return std::make_unique<BatchedLinearCursor>(points_, similarity_, query);
+  return std::make_unique<BatchedLinearCursor>(points_, similarity_, query,
+                                               nullptr);
+}
+
+std::unique_ptr<NnCursor> LinearScanIndex::CreateCursor(
+    const double* query, const std::vector<int>& seats) const {
+  GEACC_CHECK_EQ(static_cast<int>(seats.size()), points_.rows());
+  return std::make_unique<BatchedLinearCursor>(points_, similarity_, query,
+                                               seats.data());
 }
 
 uint64_t LinearScanIndex::ByteEstimate() const {

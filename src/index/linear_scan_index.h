@@ -1,6 +1,8 @@
-// Exhaustive-scan NN index: O(n·d) per Query, O(n·d + n log n) for the
-// first cursor advance, O(1) afterwards. The baseline every other index is
-// tested against, and the fallback for non-metric similarities.
+// Exhaustive-scan NN index: O(n·d) per Query; a cursor rescans all n
+// points per refill, O(n·d + n log b) for a batch of b, with b doubling
+// from 64 to 16384. The baseline every other index is tested against, the
+// fallback for non-metric similarities, and the only backend that can skip
+// points by a seat count (the seat-filtered cursor Greedy-GEACC runs).
 
 #ifndef GEACC_INDEX_LINEAR_SCAN_INDEX_H_
 #define GEACC_INDEX_LINEAR_SCAN_INDEX_H_
@@ -21,6 +23,17 @@ class LinearScanIndex final : public KnnIndex {
   std::string Name() const override { return "linear"; }
   std::vector<Neighbor> Query(const double* query, int k) const override;
   std::unique_ptr<NnCursor> CreateCursor(const double* query) const override;
+
+  // The plain cursor minus every point whose `seats` entry is <= 0 at the
+  // refill that reaches it. `seats` has one entry per point and must
+  // outlive the cursor, and its entries may only fall while the cursor
+  // lives, so a point omitted once is never returned later: the output is
+  // a subsequence of the plain enumeration that holds every point still
+  // seated when the cursor is exhausted. With every entry positive it is
+  // the plain cursor, refill for refill.
+  std::unique_ptr<NnCursor> CreateCursor(const double* query,
+                                         const std::vector<int>& seats) const;
+
   uint64_t ByteEstimate() const override;
 
  private:

@@ -517,6 +517,19 @@ std::string ShardCoordinator::RepairPassLocked() {
   std::string error = BarrierLocked();
   if (!error.empty()) return error;
 
+  // A shard reports at most one candidate per (user, event slot), so a
+  // page of `page_users` users always fits one reply frame; a page that
+  // did not would be dropped by the client as a protocol error and asked
+  // for again after every reconnect.
+  const int page_users =
+      svc::kMaxCandidatesPerFrame / std::max(mirror_.event_slots(), 1);
+  if (page_users == 0) {
+    return StrFormat("%d event slots: one user's candidates can exceed the "
+                     "%u-byte wire cap",
+                     mirror_.event_slots(),
+                     static_cast<unsigned>(svc::kMaxFrameBytes));
+  }
+
   // Stream every shard's unfiltered candidate edges, translated into the
   // global user id space. Shard replies are outside input: a malformed
   // edge fails the pass before anything is installed.
@@ -524,13 +537,11 @@ std::string ShardCoordinator::RepairPassLocked() {
   std::unordered_set<uint64_t> seen;
   for (int shard = 0; shard < num_shards(); ++shard) {
     const int32_t local_slots = map_.LocalUserCount(shard);
-    for (int32_t first = 0; first < local_slots;
-         first += options_.candidate_page) {
+    for (int32_t first = 0; first < local_slots; first += page_users) {
       std::vector<svc::ScoredCandidate> page;
       for (;;) {
         const RpcStatus status = Timed(shard, [&] {
-          return clients_[shard]->Candidates(first, options_.candidate_page,
-                                             &page);
+          return clients_[shard]->Candidates(first, page_users, &page);
         });
         if (status == RpcStatus::kOk) break;
         if (IsTransportFailure(status)) {

@@ -28,7 +28,10 @@
 // bit-identical to the single-node solve of the same instance. A candidate
 // page with an unknown user or event, a non-finite or non-positive
 // similarity, or a repeated (event, user) fails the pass before anything
-// is installed. Each conflict rejection is charged to the blocking edge's
+// is installed. A page holds as many users as fit one reply frame when
+// each has a candidate for every event slot; with more event slots than
+// one frame can carry for a single user, the pass fails naming the wire
+// cap. Each conflict rejection is charged to the blocking edge's
 // owner (lowest-endpoint-home) shard and counts in cross_edge_rejects when
 // that owner is not the candidate user's home shard. The admitted
 // per-shard slices are pushed back via InstallArrangement (piggybacked on
@@ -72,9 +75,6 @@
 namespace geacc::shard {
 
 struct CoordinatorOptions {
-  // Users per kCandidates page in the repair pass.
-  int candidate_page = 1024;
-
   // Total budget (per mutation) spent retrying kOverloaded submissions
   // before giving up.
   int overload_retry_ms = 2000;

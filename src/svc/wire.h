@@ -35,9 +35,15 @@ namespace geacc::svc {
 
 inline constexpr uint8_t kWireVersion = 1;
 
-// Hard cap on `length`: bodies are id lists and one-line mutations, so
-// 1 MiB is generous headroom, not a real limit.
+// Hard cap on `length`. Most bodies are id lists and one-line mutations;
+// the one that grows with the instance, a kCandidateList reply, is paged
+// by its requester to fit (kMaxCandidatesPerFrame).
 inline constexpr uint32_t kMaxFrameBytes = 1 << 20;
+
+// Most candidates one kCandidateList reply can carry under kMaxFrameBytes:
+// its length counts the version and type bytes and a u32 count, then 16
+// bytes per candidate.
+inline constexpr int kMaxCandidatesPerFrame = (kMaxFrameBytes - 6) / 16;
 
 enum class MsgType : uint8_t {
   // Requests.

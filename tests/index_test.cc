@@ -3,15 +3,19 @@
 // similarity values, same deterministic tie-break, every point enumerated
 // exactly once in non-increasing similarity order. MakeIndex's choice
 // between the kd-tree and linear scan is pinned on both sides of
-// kKdTreeMaxDim.
+// kKdTreeMaxDim, and the seat-filtered linear cursor Greedy-GEACC runs is
+// checked against the plain one.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <tuple>
+#include <utility>
+#include <vector>
 
-#include "algo/greedy_solver.h"
 #include "core/attributes.h"
 #include "core/masked_similarity.h"
 #include "core/similarity.h"
@@ -20,6 +24,7 @@
 #include "index/knn_index.h"
 #include "index/linear_scan_index.h"
 #include "index/va_file_index.h"
+#include "obs/stats.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
@@ -38,6 +43,15 @@ AttributeMatrix RandomPoints(int n, int dim, uint64_t seed) {
     }
   }
   return points;
+}
+
+// Every remaining (id, similarity bits) of `cursor`, in order.
+std::vector<std::pair<int, uint64_t>> Drain(NnCursor& cursor) {
+  std::vector<std::pair<int, uint64_t>> out;
+  while (const auto next = cursor.Next()) {
+    out.emplace_back(next->id, std::bit_cast<uint64_t>(next->similarity));
+  }
+  return out;
 }
 
 TEST(MakeIndex, FactoryNamesAndFallback) {
@@ -358,24 +372,118 @@ TEST(Index, EqualDistancesAcrossLeavesBrokenById) {
   EXPECT_FALSE(kc->Next().has_value());
 }
 
-// Greedy-GEACC must return the same matching whichever index backs its
-// cursors: every backend enumerates in the same order.
+// Every backend's full cursor enumeration — ids and similarity bits —
+// equals linear scan's on the instances the greedy tests use, over the
+// users (event queries) and over the events (user queries).
 TEST(Index, GreedyIdenticalAcrossAllBackends) {
+  const auto enumerate = [](const KnnIndex& index, const double* query) {
+    return Drain(*index.CreateCursor(query));
+  };
   for (uint64_t seed = 0; seed < 5; ++seed) {
     const Instance instance =
         testing::SmallRandomInstance(5, 15, 0.25, 4, seed);
     const SimilarityFunction& sim = instance.similarity();
-    const GreedySolver solver;
-    const auto reference = solver.Solve(instance).arrangement.SortedPairs();
+    const AttributeMatrix& users = instance.user_attributes();
+    const AttributeMatrix& events = instance.event_attributes();
+    const LinearScanIndex linear_users(users, sim);
+    const LinearScanIndex linear_events(events, sim);
     for (const char* name : kAllIndexes) {
-      const auto users = MakeIndex(name, instance.user_attributes(), sim);
-      const auto events = MakeIndex(name, instance.event_attributes(), sim);
-      EXPECT_EQ(solver.SolveOver(instance, *users, *events)
-                    .arrangement.SortedPairs(),
-                reference)
-          << "seed " << seed << " index " << name;
+      const auto user_index = MakeIndex(name, users, sim);
+      const auto event_index = MakeIndex(name, events, sim);
+      for (EventId v = 0; v < events.rows(); ++v) {
+        EXPECT_EQ(enumerate(*user_index, events.Row(v)),
+                  enumerate(linear_users, events.Row(v)))
+            << "seed " << seed << " index " << name << " event " << v;
+      }
+      for (UserId u = 0; u < users.rows(); ++u) {
+        EXPECT_EQ(enumerate(*event_index, users.Row(u)),
+                  enumerate(linear_events, users.Row(u)))
+            << "seed " << seed << " index " << name << " user " << u;
+      }
     }
   }
+}
+
+// The seat-filtered cursor Greedy-GEACC runs. 3,000 points make the
+// refills cross several batch sizes (64, 128, …, 1024); seats start at
+// 0–2 and a random point loses a seat after every Next().
+TEST(Index, SeatFilteredCursorSkipsSeatlessPoints) {
+  const AttributeMatrix points = RandomPoints(3000, 4, 91);
+  const EuclideanSimilarity sim(100.0);
+  const LinearScanIndex index(points, sim);
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    const double* query = points.Row(static_cast<int>(seed) * 100);
+    std::vector<int> seats(points.rows());
+    for (int& seat : seats) seat = static_cast<int>(rng.UniformInt(0, 2));
+    const std::vector<int> initial = seats;
+
+    std::vector<int> plain;
+    auto plain_cursor = index.CreateCursor(query);
+    while (const auto next = plain_cursor->Next()) plain.push_back(next->id);
+
+    std::vector<int> filtered;
+    auto cursor = index.CreateCursor(query, seats);
+    while (const auto next = cursor->Next()) {
+      filtered.push_back(next->id);
+      int& seat = seats[rng.UniformInt(0, points.rows() - 1)];
+      if (seat > 0) --seat;
+    }
+    EXPECT_FALSE(cursor->Next().has_value()) << "seed " << seed;
+    ASSERT_GT(filtered.size(), 1024u + 512u) << "seed " << seed;
+
+    // A subsequence of the plain enumeration...
+    size_t matched = 0;
+    for (const int id : plain) {
+      if (matched < filtered.size() && filtered[matched] == id) ++matched;
+    }
+    EXPECT_EQ(matched, filtered.size()) << "seed " << seed;
+    // ...that holds every point still seated, and none seatless from the
+    // start.
+    const std::set<int> returned(filtered.begin(), filtered.end());
+    for (int i = 0; i < points.rows(); ++i) {
+      if (seats[i] > 0) {
+        EXPECT_TRUE(returned.contains(i)) << "seed " << seed << " id " << i;
+      }
+      if (initial[i] <= 0) {
+        EXPECT_FALSE(returned.contains(i)) << "seed " << seed << " id " << i;
+      }
+    }
+  }
+}
+
+// With every seat positive the filter changes nothing: the same
+// neighbors, refill for refill.
+TEST(Index, SeatFilterWithPositiveSeatsIsThePlainCursor) {
+  const AttributeMatrix points = RandomPoints(3000, 4, 92);
+  const EuclideanSimilarity sim(100.0);
+  const LinearScanIndex index(points, sim);
+  std::vector<int> seats(points.rows());
+  Rng rng(7);
+  for (int& seat : seats) seat = static_cast<int>(rng.UniformInt(1, 2));
+  const auto drain = [](std::unique_ptr<NnCursor> cursor,
+                        obs::StatsSnapshot* delta) {
+    const obs::StatsScope scope;
+    const auto out = Drain(*cursor);
+    *delta = scope.Harvest();
+    return out;
+  };
+  obs::StatsSnapshot plain_stats;
+  obs::StatsSnapshot filtered_stats;
+  const auto plain = drain(index.CreateCursor(points.Row(0)), &plain_stats);
+  const auto filtered =
+      drain(index.CreateCursor(points.Row(0), seats), &filtered_stats);
+  EXPECT_EQ(filtered, plain);
+  EXPECT_EQ(plain.size(), 3000u);
+#if !defined(GEACC_NO_STATS)
+  for (const char* name :
+       {"index.linear.refills", "index.linear.points_scanned"}) {
+    ASSERT_TRUE(plain_stats.counters.contains(name)) << name;
+    EXPECT_EQ(filtered_stats.counters[name], plain_stats.counters[name])
+        << name;
+  }
+  EXPECT_GT(plain_stats.counters["index.linear.refills"], 4);
+#endif
 }
 
 }  // namespace

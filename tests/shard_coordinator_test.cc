@@ -1,8 +1,10 @@
 // Tests for the shard coordinator (shard/coordinator.h): deterministic
 // read-merge tie-breaks, routing determinism across coordinator
 // incarnations, cross-shard conflict admission/rejection accounting,
-// rejection of malformed shard candidates, and the headline contract — a sharded repair pass is bit-identical to the
-// single-node greedy-sortall solve of the same instance (DESIGN.md §16).
+// rejection of malformed shard candidates, candidate pages that fit the
+// wire cap, and the headline contract — a sharded repair pass is
+// bit-identical to the single-node greedy-sortall solve of the same
+// instance (DESIGN.md §16).
 
 #include "shard/coordinator.h"
 
@@ -37,7 +39,8 @@ using svc::ScoredEvent;
 
 // An in-process shard client whose Candidates pages pass through
 // `corrupt` when it is set, so tests can feed the coordinator malformed
-// shard output.
+// shard output. With `frame_cap` set it refuses a page whose reply frame
+// would exceed the wire cap as a protocol error, as SocketClient does.
 class CorruptibleClient : public svc::InProcessClient {
  public:
   using svc::InProcessClient::InProcessClient;
@@ -46,11 +49,23 @@ class CorruptibleClient : public svc::InProcessClient {
                             std::vector<ScoredCandidate>* out) override {
     const svc::RpcStatus status =
         svc::InProcessClient::Candidates(first_user, user_count, out);
-    if (status == svc::RpcStatus::kOk && corrupt) corrupt(out);
+    if (status != svc::RpcStatus::kOk) return status;
+    if (corrupt) corrupt(out);
+    if (frame_cap) {
+      svc::WireResponse reply;
+      reply.type = svc::MsgType::kCandidateList;
+      reply.candidates = *out;
+      if (svc::EncodeResponseFrame(reply).size() > svc::kMaxFrameBytes + 4) {
+        out->clear();
+        last_error_ = "reply frame over the wire cap";
+        return svc::RpcStatus::kProtocolError;
+      }
+    }
     return status;
   }
 
   std::function<void(std::vector<ScoredCandidate>*)> corrupt;
+  bool frame_cap = false;
 };
 
 // An in-process N-shard topology: empty score-only shard services behind
@@ -300,6 +315,35 @@ TEST(ShardCoordinator, RepairPassRejectsMalformedCandidatesBeforeInstalling) {
     ASSERT_EQ(coordinator.RepairPass(), "");
     EXPECT_NE(coordinator.arrangement(), previous);
   }
+}
+
+// 100 events and ~1,200 users per shard: a page of 1,024 users with an
+// edge to every event would be a ~1.6 MB reply, over the 1 MiB wire cap.
+// The coordinator must page by the event slot count, so no reply is
+// dropped and the pass still equals greedy-sortall bit for bit.
+TEST(ShardCoordinator, CandidatePagesFitTheWireCap) {
+  const Instance instance = SmallInstance(/*seed=*/7, /*events=*/100,
+                                          /*users=*/2400);
+  const SolveResult reference =
+      CreateSolver("greedy-sortall")->Solve(instance);
+  constexpr int kShards = 2;
+  Topology topology(kShards, instance);
+  for (int shard = 0; shard < kShards; ++shard) {
+    topology.client(shard).frame_cap = true;
+  }
+  ShardCoordinator& coordinator = topology.coordinator();
+  ASSERT_EQ(coordinator.ApplyInstance(instance), "");
+  ASSERT_EQ(coordinator.RepairPass(), "");
+
+  Arrangement merged(instance.num_events(), instance.num_users());
+  double admission_order_sum = 0.0;
+  for (const auto& [event, user] : coordinator.arrangement()) {
+    merged.Add(event, user);
+    admission_order_sum += instance.Similarity(event, user);
+  }
+  EXPECT_EQ(merged.SortedPairs(), reference.arrangement.SortedPairs());
+  // Bit-identical: the coordinator admits in the single-node order.
+  EXPECT_EQ(coordinator.global_max_sum(), admission_order_sum);
 }
 
 TEST(ShardCoordinator, ReadsMatchTheRepairedArrangement) {
