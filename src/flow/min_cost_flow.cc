@@ -108,13 +108,17 @@ bool SuccessiveShortestPaths::FindPath() {
 }
 
 int64_t SuccessiveShortestPaths::AugmentIfCheaper(double cost_limit) {
-  if (!FindPath()) return 0;
+  if (!FindPath()) {
+    last_path_cost_ = 0.0;
+    return 0;
+  }
   double path_cost = 0.0;
   for (int node = sink_; node != source_;) {
     const int arc = parent_arc_[node];
     path_cost += graph_->Cost(arc);
     node = graph_->Tail(arc);
   }
+  last_path_cost_ = path_cost;
   if (path_cost >= cost_limit) return 0;
   for (int node = sink_; node != source_;) {
     const int arc = parent_arc_[node];
@@ -130,7 +134,10 @@ int64_t SuccessiveShortestPaths::AugmentIfCheaper(double cost_limit) {
 
 int64_t SuccessiveShortestPaths::Augment(int64_t max_units) {
   GEACC_CHECK_GT(max_units, 0);
-  if (!FindPath()) return 0;
+  if (!FindPath()) {
+    last_path_cost_ = 0.0;
+    return 0;
+  }
   // Bottleneck along the parent chain.
   int64_t bottleneck = max_units;
   for (int node = sink_; node != source_;) {
@@ -146,6 +153,7 @@ int64_t SuccessiveShortestPaths::Augment(int64_t max_units) {
     path_cost += graph_->Cost(arc);
     node = graph_->Tail(arc);
   }
+  last_path_cost_ = path_cost;
   total_flow_ += bottleneck;
   total_cost_ += path_cost * static_cast<double>(bottleneck);
   GEACC_STATS_ADD("flow.augmenting_paths", 1);
@@ -160,6 +168,18 @@ int64_t SuccessiveShortestPaths::RunToMaxFlow() {
     if (step == 0) return pushed;
     pushed += step;
   }
+}
+
+std::vector<int> SuccessiveShortestPaths::LastPath() const {
+  std::vector<int> path;
+  if (distance_[sink_] == kInf) return path;
+  for (int node = sink_; node != source_;
+       node = graph_->Tail(parent_arc_[node])) {
+    path.push_back(node);
+  }
+  path.push_back(source_);
+  std::reverse(path.begin(), path.end());
+  return path;
 }
 
 uint64_t SuccessiveShortestPaths::ByteEstimate() const {

@@ -10,6 +10,12 @@
 // negative arc costs are bootstrapped with one Bellman–Ford pass; the GEACC
 // reduction has costs 1 - sim ∈ [0, 1], so the bootstrap is normally
 // skipped.
+//
+// This is the generic engine, over any FlowGraph. MinCostFlow-GEACC runs
+// flow/transport_ssp.h instead, which reproduces this engine's search
+// order exactly (node numbering, potentials, (distance, id) settle order,
+// arithmetic and counters) on the dense network that solver builds.
+// BMatchingBound (algo/bounds.cc) stays here: its costs are negative.
 
 #ifndef GEACC_FLOW_MIN_COST_FLOW_H_
 #define GEACC_FLOW_MIN_COST_FLOW_H_
@@ -46,6 +52,14 @@ class SuccessiveShortestPaths {
   int64_t total_flow() const { return total_flow_; }
   double total_cost() const { return total_cost_; }
 
+  // Node potentials (Johnson), indexed by node.
+  const std::vector<double>& potentials() const { return potential_; }
+  // Nodes of the last path searched for, source first; empty when the
+  // last search did not reach the sink.
+  std::vector<int> LastPath() const;
+  // Real cost of that path (also when AugmentIfCheaper rejected it).
+  double last_path_cost() const { return last_path_cost_; }
+
   uint64_t ByteEstimate() const;
 
  private:
@@ -59,6 +73,7 @@ class SuccessiveShortestPaths {
   int sink_;
   int64_t total_flow_ = 0;
   double total_cost_ = 0.0;
+  double last_path_cost_ = 0.0;
 
   std::vector<double> potential_;
   std::vector<double> distance_;

@@ -157,4 +157,13 @@ void BatchVaLowerBound(Level level, const double* cell_table, int cells,
   }
 }
 
+int64_t RelaxRow(Level level, const double* cost, double tail_potential,
+                 const double* head_potential, double tail_distance,
+                 double eps, double* distance, int32_t* parent, int32_t tail,
+                 int32_t* improved, int64_t n) {
+  return GetKernels(level).relax_row(cost, tail_potential, head_potential,
+                                     tail_distance, eps, distance, parent,
+                                     tail, improved, n);
+}
+
 }  // namespace geacc::simd

@@ -166,6 +166,32 @@ void BatchVaLowerBound(Level level, const double* cell_table, int cells,
                        double* out);
 
 // ---------------------------------------------------------------------------
+// Dijkstra row relaxation (flow/transport_ssp.cc).
+//
+// Relaxes the n arcs tail → head i of one dense cost row, in the generic
+// SSP engine's arithmetic and order (flow/min_cost_flow.cc):
+//
+//     r    = (cost[i] + tail_potential) − head_potential[i]
+//     r    = r > 0 ? r : +0.0
+//     cand = tail_distance + r
+//     if (cand + eps < distance[i]):
+//       distance[i] = cand, parent[i] = tail, improved[count++] = i
+//
+// and returns `count`. A +inf cost (an arc without residual capacity)
+// gives cand = +inf, which never passes the test, so the row needs no
+// residual branch. Add, subtract, max and compare only: there is no
+// multiply to contract, so every level returns identical bits for every
+// input (strict-only; there is no fast variant). The clamp maps a reduced
+// cost of −0.0 to +0.0 where a `r < 0` clamp keeps −0.0; the two give
+// the same cand for every tail_distance except −0.0. `improved` is either
+// null (no list is written; the count is still returned) or holds n
+// entries, of which those from `count` on are unspecified. O(n).
+int64_t RelaxRow(Level level, const double* cost, double tail_potential,
+                 const double* head_potential, double tail_distance,
+                 double eps, double* distance, int32_t* parent, int32_t tail,
+                 int32_t* improved, int64_t n);
+
+// ---------------------------------------------------------------------------
 // Per-block reducer table — the level-specific functions the drivers
 // loop over. Exposed so tests can pin every available level against the
 // per-pair path without touching the global dispatch override.
@@ -188,6 +214,11 @@ struct KernelTable {
                        double* dot8, double* norm8);
   void (*va_lower_bound)(const double* cell_table, int cells,
                          const uint8_t* sig_block, int dim, double* out8);
+  // Whole-row kernel behind RelaxRow (not per block).
+  int64_t (*relax_row)(const double* cost, double tail_potential,
+                       const double* head_potential, double tail_distance,
+                       double eps, double* distance, int32_t* parent,
+                       int32_t tail, int32_t* improved, int64_t n);
 };
 
 // The reducers for `level`. Requesting kAvx2 when CpuSupportsAvx2() is

@@ -7,6 +7,7 @@
 // Lane geometry: a block holds 8 rows, one cache line (two __m256d) per
 // dimension, so each reducer runs two accumulator registers and the
 // whole inner loop is two aligned loads + arithmetic per dimension.
+// RelaxRow is the one whole-row kernel: four arcs per step, unaligned.
 
 #include "simd/kernels.h"
 #include "util/check.h"
@@ -149,6 +150,107 @@ void VaLowerBoundBlock(const double* cell_table, int cells,
   _mm256_storeu_pd(out8 + 4, acc1);
 }
 
+// Byte shuffles that pack the int32 lanes selected by a 4-bit mask to the
+// front of a __m128i, in lane order (the compress step of RelaxRow).
+struct CompressTable {
+  alignas(16) uint8_t shuffle[16][16];
+  uint8_t popcount[16];
+};
+
+constexpr CompressTable MakeCompressTable() {
+  CompressTable table{};
+  for (int mask = 0; mask < 16; ++mask) {
+    int out = 0;
+    for (int lane = 0; lane < 4; ++lane) {
+      if (((mask >> lane) & 1) == 0) continue;
+      for (int byte = 0; byte < 4; ++byte) {
+        table.shuffle[mask][out * 4 + byte] =
+            static_cast<uint8_t>(lane * 4 + byte);
+      }
+      ++out;
+    }
+    for (int byte = out * 4; byte < 16; ++byte) {
+      table.shuffle[mask][byte] = 0x80;  // zero
+    }
+    table.popcount[mask] = static_cast<uint8_t>(out);
+  }
+  return table;
+}
+
+constexpr CompressTable kCompress = MakeCompressTable();
+
+// Four arcs per step: blend the improved lanes into distance and parent,
+// then (kList) compress their indices onto `improved` — no per-lane
+// branch. The final n % 4 arcs run the scalar form of the same arithmetic.
+template <bool kList>
+int64_t RelaxRowLoop(const double* cost, double tail_potential,
+                     const double* head_potential, double tail_distance,
+                     double eps, double* distance, int32_t* parent,
+                     int32_t tail, int32_t* improved, int64_t n) {
+  const __m256d potential = _mm256_set1_pd(tail_potential);
+  const __m256d base = _mm256_set1_pd(tail_distance);
+  const __m256d slack = _mm256_set1_pd(eps);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m128i tail4 = _mm_set1_epi32(tail);
+  // The low dword of each 64-bit compare lane, as four int32 lanes.
+  const __m256i low_dwords = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
+  const __m128i step = _mm_set1_epi32(4);
+  __m128i index = _mm_setr_epi32(0, 1, 2, 3);
+  int64_t count = 0;
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d reduced = _mm256_max_pd(
+        _mm256_sub_pd(_mm256_add_pd(_mm256_loadu_pd(cost + i), potential),
+                      _mm256_loadu_pd(head_potential + i)),
+        zero);
+    const __m256d candidate = _mm256_add_pd(base, reduced);
+    const __m256d current = _mm256_loadu_pd(distance + i);
+    const __m256d better = _mm256_cmp_pd(_mm256_add_pd(candidate, slack),
+                                         current, _CMP_LT_OQ);
+    _mm256_storeu_pd(distance + i,
+                     _mm256_blendv_pd(current, candidate, better));
+    const __m128i better32 = _mm256_castsi256_si128(
+        _mm256_permutevar8x32_epi32(_mm256_castpd_si256(better), low_dwords));
+    __m128i* parent4 = reinterpret_cast<__m128i*>(parent + i);
+    _mm_storeu_si128(parent4, _mm_blendv_epi8(_mm_loadu_si128(parent4), tail4,
+                                              better32));
+    const int mask = _mm256_movemask_pd(better);
+    if constexpr (kList) {
+      const __m128i shuffle = _mm_load_si128(
+          reinterpret_cast<const __m128i*>(kCompress.shuffle[mask]));
+      // count <= i, so the four int32 written stay inside improved[0, n).
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(improved + count),
+                       _mm_shuffle_epi8(index, shuffle));
+      index = _mm_add_epi32(index, step);
+    }
+    count += kCompress.popcount[mask];
+  }
+  for (; i < n; ++i) {
+    double reduced = (cost[i] + tail_potential) - head_potential[i];
+    reduced = reduced > 0.0 ? reduced : 0.0;
+    const double candidate = tail_distance + reduced;
+    const bool better = candidate + eps < distance[i];
+    distance[i] = better ? candidate : distance[i];
+    parent[i] = better ? tail : parent[i];
+    if constexpr (kList) improved[count] = static_cast<int32_t>(i);
+    count += better;
+  }
+  return count;
+}
+
+int64_t RelaxRow(const double* cost, double tail_potential,
+                 const double* head_potential, double tail_distance,
+                 double eps, double* distance, int32_t* parent, int32_t tail,
+                 int32_t* improved, int64_t n) {
+  return improved != nullptr
+             ? RelaxRowLoop<true>(cost, tail_potential, head_potential,
+                                  tail_distance, eps, distance, parent, tail,
+                                  improved, n)
+             : RelaxRowLoop<false>(cost, tail_potential, head_potential,
+                                   tail_distance, eps, distance, parent, tail,
+                                   improved, n);
+}
+
 }  // namespace
 
 const KernelTable& Avx2Kernels() {
@@ -160,6 +262,7 @@ const KernelTable& Avx2Kernels() {
       /*dot_norm=*/DotNormBlock,
       /*dot_norm_fma=*/DotNormBlockFma,
       /*va_lower_bound=*/VaLowerBoundBlock,
+      /*relax_row=*/RelaxRow,
   };
   return table;
 }

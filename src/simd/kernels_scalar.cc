@@ -4,7 +4,8 @@
 // rounds twice, exactly like the per-pair loops in core/similarity.cc —
 // which is what the strict-mode bit-identity contract (kernels.h) needs.
 // The compiler is free to auto-vectorize these loops: lanes are rows, so
-// any lane width produces the same per-row arithmetic.
+// any lane width produces the same per-row arithmetic. RelaxRow, the one
+// whole-row kernel, has no multiply at all.
 
 #include "simd/kernels.h"
 
@@ -65,6 +66,40 @@ void VaLowerBoundBlock(const double* cell_table, int cells,
   for (int r = 0; r < kBlockRows; ++r) out8[r] = acc[r];
 }
 
+// `r > 0 ? r : 0` is MAXPD's rule, so this loop and the AVX2 one clamp
+// −0.0 (and anything not above zero) alike.
+template <bool kList>
+int64_t RelaxRowLoop(const double* cost, double tail_potential,
+                     const double* head_potential, double tail_distance,
+                     double eps, double* distance, int32_t* parent,
+                     int32_t tail, int32_t* improved, int64_t n) {
+  int64_t count = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    double reduced = (cost[i] + tail_potential) - head_potential[i];
+    reduced = reduced > 0.0 ? reduced : 0.0;
+    const double candidate = tail_distance + reduced;
+    const bool better = candidate + eps < distance[i];
+    distance[i] = better ? candidate : distance[i];
+    parent[i] = better ? tail : parent[i];
+    if constexpr (kList) improved[count] = static_cast<int32_t>(i);
+    count += better;
+  }
+  return count;
+}
+
+int64_t RelaxRow(const double* cost, double tail_potential,
+                 const double* head_potential, double tail_distance,
+                 double eps, double* distance, int32_t* parent, int32_t tail,
+                 int32_t* improved, int64_t n) {
+  return improved != nullptr
+             ? RelaxRowLoop<true>(cost, tail_potential, head_potential,
+                                  tail_distance, eps, distance, parent, tail,
+                                  improved, n)
+             : RelaxRowLoop<false>(cost, tail_potential, head_potential,
+                                   tail_distance, eps, distance, parent, tail,
+                                   improved, n);
+}
+
 }  // namespace
 
 const KernelTable& ScalarKernels() {
@@ -76,6 +111,7 @@ const KernelTable& ScalarKernels() {
       /*dot_norm=*/DotNormBlock,
       /*dot_norm_fma=*/DotNormBlock,
       /*va_lower_bound=*/VaLowerBoundBlock,
+      /*relax_row=*/RelaxRow,
   };
   return table;
 }

@@ -111,6 +111,12 @@ std::optional<WalContents> ReadWal(const std::string& path,
                             pending_error.c_str()));
       return std::nullopt;
     }
+    if (is.eof()) {
+      // No newline after it: the append was torn. Drop it even when it
+      // parses — `set_user_capacity 3 12` torn to `... 3 1` does.
+      pending = true;
+      break;
+    }
     const std::string_view trimmed = Trim(line);
     if (trimmed.empty() || trimmed[0] == '#') continue;
     std::string mutation_error;

@@ -16,12 +16,14 @@
 //   wal-mutations
 //   add_user 3 0.5 1.25 ...  (applied mutations, streamed)
 //
-// Crash discipline: a torn final line (the process died mid-append) is
-// detected and dropped during recovery; any earlier malformed line is a
-// hard error. Checkpoints are separate, colder artifacts: a compacted
-// dense instance + arrangement written through src/io for export,
-// inspection, or warm-starting a new service (dense ids — slot identity
-// is intentionally not preserved; the WAL is the recovery path).
+// Crash discipline: a final line without its newline is a torn append
+// (the process died mid-append) and is dropped during recovery, even when
+// the fragment parses; so is a malformed final line. Any earlier
+// malformed line is a hard error. Checkpoints are separate, colder
+// artifacts: a compacted dense instance + arrangement written through
+// src/io for export, inspection, or warm-starting a new service (dense
+// ids — slot identity is intentionally not preserved; the WAL is the
+// recovery path).
 //
 // Thread-safety: WalWriter is single-writer (the service writer thread);
 // ReadWal/checkpoint functions touch only their arguments.
@@ -68,7 +70,8 @@ class WalWriter {
 struct WalContents {
   Instance initial;
   std::vector<Mutation> mutations;
-  // 1 when a torn final line was dropped (crash mid-append), else 0.
+  // 1 when a torn final line was dropped (crash mid-append), else 0:
+  // a final line with no newline, or a malformed final line.
   int dropped_tail_lines = 0;
 };
 

@@ -393,6 +393,54 @@ TEST(ArrangementService, RecoverDropsTornFinalLine) {
   std::remove(wal_path.c_str());
 }
 
+TEST(ArrangementService, RecoverDropsTornFinalLineThatParses) {
+  // `set_user_capacity 3 12` torn after its first digit still parses as
+  // `set_user_capacity 3 1`. Nobody submitted that mutation: recovery must
+  // drop it, and must not leave the fragment for the next append to fuse
+  // onto.
+  const std::string wal_path = TempPath("svc_torn_parses.wal");
+  const Instance instance = SmallInstance(31);
+  ServiceOptions options;
+  options.wal_path = wal_path;
+
+  std::vector<std::pair<UserId, EventId>> pairs_before;
+  int capacity_before = 0;
+  {
+    ArrangementService service(instance, options);
+    for (int i = 0; i < 20; ++i) {
+      service.Submit(Mutation::SetUserCapacity(i, 1 + i % 4));
+    }
+    service.Flush();
+    pairs_before = SnapshotPairs(*service.snapshot());
+    capacity_before = service.snapshot()->user_capacity(3);
+  }
+  ASSERT_NE(capacity_before, 1);
+  {
+    std::ofstream torn(wal_path, std::ios::app);
+    torn << "set_user_capacity 3 1";
+  }
+
+  std::string error;
+  std::unique_ptr<ArrangementService> recovered =
+      ArrangementService::Recover(options, &error);
+  ASSERT_NE(recovered, nullptr) << error;
+  EXPECT_EQ(SnapshotPairs(*recovered->snapshot()), pairs_before);
+  EXPECT_EQ(recovered->snapshot()->user_capacity(3), capacity_before);
+
+  // The next acknowledged mutation must survive another recovery.
+  const SubmitResult post = recovered->Submit(Mutation::SetUserCapacity(2, 2));
+  ASSERT_EQ(recovered->WaitForTicket(post.ticket), SvcStatus::kOk);
+  recovered->Stop();
+  recovered.reset();
+  std::unique_ptr<ArrangementService> again =
+      ArrangementService::Recover(options, &error);
+  ASSERT_NE(again, nullptr) << error;
+  EXPECT_EQ(again->snapshot()->user_capacity(2), 2);
+  EXPECT_EQ(again->snapshot()->user_capacity(3), capacity_before);
+  again->Stop();
+  std::remove(wal_path.c_str());
+}
+
 TEST(ArrangementService, CheckpointRoundTrips) {
   // The one checkpoint format is the paged one: the state written at
   // Stop() comes back through Recover() (checkpoint + empty WAL suffix)

@@ -2,13 +2,16 @@
 // (src/simd, DESIGN.md §15): every available dispatch level against the
 // per-pair scalar path, bit-for-bit in strict mode, across awkward
 // shapes (dims and row counts that are not multiples of the vector width
-// or block size), zero vectors, and denormals.
+// or block size), zero vectors, and denormals. The RelaxRow kernel (the
+// SSP row relaxation) is pinned the same way, level against level and
+// against the generic engine's arithmetic.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -329,6 +332,209 @@ TEST(BatchKernels, VaLowerBoundMatchesReferenceLoop) {
         }
       }
     }
+  }
+}
+
+// ------------------------------------------------------- RelaxRow kernel --
+
+// The SSP engines' improvement tolerance (flow/min_cost_flow.cc).
+constexpr double kRelaxEps = 1e-9;
+constexpr int32_t kRelaxTail = 7;
+constexpr double kPosInf = std::numeric_limits<double>::infinity();
+
+struct RelaxInput {
+  std::vector<double> cost;
+  std::vector<double> head_potential;
+  std::vector<double> distance;
+  std::vector<int32_t> parent;
+  double tail_potential = 0.0;
+  double tail_distance = 0.0;
+};
+
+struct RelaxOutput {
+  std::vector<double> distance;
+  std::vector<int32_t> parent;
+  std::vector<int32_t> improved;
+  int64_t count = 0;
+};
+
+// With `list` false the kernel gets a null `improved` and writes no list.
+RelaxOutput RunRelaxRow(simd::Level level, const RelaxInput& in,
+                        bool list = true) {
+  const int64_t n = static_cast<int64_t>(in.cost.size());
+  RelaxOutput out{in.distance, in.parent, std::vector<int32_t>(n), 0};
+  out.count = simd::RelaxRow(
+      level, in.cost.data(), in.tail_potential, in.head_potential.data(),
+      in.tail_distance, kRelaxEps, out.distance.data(), out.parent.data(),
+      kRelaxTail, list ? out.improved.data() : nullptr, n);
+  out.improved.resize(list ? static_cast<size_t>(out.count) : 0);
+  return out;
+}
+
+// One arc of the generic engine's loop (flow/min_cost_flow.cc), whose
+// clamp keeps a −0.0 reduced cost.
+RelaxOutput GenericRelaxation(const RelaxInput& in) {
+  RelaxOutput out{in.distance, in.parent, {}, 0};
+  for (size_t i = 0; i < in.cost.size(); ++i) {
+    double reduced = in.cost[i] + in.tail_potential - in.head_potential[i];
+    if (reduced < 0.0) reduced = 0.0;
+    const double candidate = in.tail_distance + reduced;
+    if (candidate + kRelaxEps < out.distance[i]) {
+      out.distance[i] = candidate;
+      out.parent[i] = kRelaxTail;
+      out.improved.push_back(static_cast<int32_t>(i));
+    }
+  }
+  out.count = static_cast<int64_t>(out.improved.size());
+  return out;
+}
+
+void ExpectSameRelaxation(const RelaxOutput& got, const RelaxOutput& want,
+                          const std::string& context) {
+  ASSERT_EQ(got.count, want.count) << context;
+  EXPECT_EQ(got.improved, want.improved) << context;
+  EXPECT_EQ(got.parent, want.parent) << context;
+  for (size_t i = 0; i < want.distance.size(); ++i) {
+    ExpectBitEqual(got.distance[i], want.distance[i],
+                   context + " arc " + std::to_string(i));
+  }
+}
+
+// A row mixing every regime the engine feeds the kernel: saturated (+inf)
+// arcs, reduced costs of exactly +0.0 and (when the tail potential is
+// −0.0) −0.0, rounding negatives, and current distances of +inf, random,
+// and exactly / one ulp either side of the ε boundary cand + ε.
+RelaxInput RandomRelaxRow(int n, double tail_potential, double tail_distance,
+                          Rng& rng) {
+  RelaxInput in;
+  in.tail_potential = tail_potential;
+  in.tail_distance = tail_distance;
+  for (int i = 0; i < n; ++i) {
+    double cost = rng.UniformReal(0.0, 1.0);
+    double head = rng.UniformReal(0.0, 2.0);
+    switch (rng.UniformInt(0, 4)) {
+      case 0:
+        cost = kPosInf;
+        break;
+      case 1:  // reduced cost exactly +0.0
+        head = cost + tail_potential;
+        break;
+      case 2:  // −0.0 + −0.0 − (+0.0) = −0.0 when the tail potential is −0.0
+        cost = -0.0;
+        head = 0.0;
+        break;
+      case 3:  // a rounding negative the clamp lifts to zero
+        head = cost + tail_potential + 1e-13;
+        break;
+      default:
+        break;
+    }
+    double reduced = (cost + tail_potential) - head;
+    reduced = reduced > 0.0 ? reduced : 0.0;
+    const double boundary = (tail_distance + reduced) + kRelaxEps;
+    double distance = rng.UniformReal(0.0, 3.0);
+    switch (rng.UniformInt(0, 4)) {
+      case 0:
+        distance = kPosInf;
+        break;
+      case 1:
+        distance = boundary;  // cand + ε == dist: not an improvement
+        break;
+      case 2:
+        distance = std::nextafter(boundary, kPosInf);  // improves
+        break;
+      case 3:
+        distance = std::nextafter(boundary, -kPosInf);
+        break;
+      default:
+        break;
+    }
+    in.cost.push_back(cost);
+    in.head_potential.push_back(head);
+    in.distance.push_back(distance);
+    in.parent.push_back(static_cast<int32_t>(rng.UniformInt(-1, 50)));
+  }
+  return in;
+}
+
+TEST(RelaxRowKernel, IdenticalBitsAtEveryLevel) {
+  // Row lengths around the AVX2 width (4), including ones that leave a
+  // scalar tail; every tail distance, −0.0 included.
+  for (int n : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 31, 64, 103}) {
+    for (double tail_potential : {0.0, -0.0, 0.75}) {
+      for (double tail_distance : {0.0, -0.0, 0.3125, 1.5}) {
+        Rng rng(static_cast<uint64_t>(n) * 131 +
+                static_cast<uint64_t>(tail_distance * 64));
+        const RelaxInput in =
+            RandomRelaxRow(n, tail_potential, tail_distance, rng);
+        const RelaxOutput scalar = RunRelaxRow(simd::Level::kScalar, in);
+        RelaxOutput unlisted = scalar;
+        unlisted.improved.clear();
+        for (simd::Level level : AvailableLevels()) {
+          const std::string at =
+              std::string(simd::LevelName(level)) + " n=" +
+              std::to_string(n) + " pi=" + std::to_string(tail_potential) +
+              " d=" + std::to_string(tail_distance);
+          ExpectSameRelaxation(RunRelaxRow(level, in), scalar, at);
+          ExpectSameRelaxation(RunRelaxRow(level, in, /*list=*/false),
+                               unlisted, at + " without a list");
+        }
+      }
+    }
+  }
+}
+
+TEST(RelaxRowKernel, MatchesGenericRelaxationForNonNegativeTails) {
+  // The engines' distances are never −0.0, and for every other tail
+  // distance the max clamp and the generic `r < 0` clamp give the same
+  // candidate — including on −0.0 reduced costs.
+  int improved = 0;
+  for (int n : {1, 3, 4, 7, 17, 64, 101}) {
+    for (double tail_potential : {0.0, -0.0, 0.5}) {
+      for (double tail_distance : {0.0, 0.25, 2.0}) {
+        Rng rng(static_cast<uint64_t>(n) * 977 + 5);
+        const RelaxInput in =
+            RandomRelaxRow(n, tail_potential, tail_distance, rng);
+        const RelaxOutput want = GenericRelaxation(in);
+        improved += static_cast<int>(want.count);
+        for (simd::Level level : AvailableLevels()) {
+          ExpectSameRelaxation(
+              RunRelaxRow(level, in), want,
+              std::string(simd::LevelName(level)) + " n=" +
+                  std::to_string(n) + " pi=" + std::to_string(tail_potential) +
+                  " d=" + std::to_string(tail_distance));
+        }
+      }
+    }
+  }
+  EXPECT_GT(improved, 0);
+}
+
+TEST(RelaxRowKernel, EpsBoundarySignedZerosAndInfinity) {
+  // Five arcs from a tail at distance 0 with potential −0.0, so the first
+  // arc's reduced cost is exactly −0.0.
+  RelaxInput in;
+  in.tail_potential = -0.0;
+  in.tail_distance = 0.0;
+  in.cost = {-0.0, 0.5, 0.5, 0.5, kPosInf};
+  in.head_potential = {0.0, 0.5, 0.25, 0.25, 0.0};
+  const double cand = 0.25;  // (0.5 − 0.0) − 0.25
+  in.distance = {kPosInf, kPosInf, cand + kRelaxEps,
+                 std::nextafter(cand + kRelaxEps, kPosInf), kPosInf};
+  in.parent = {-1, -1, 3, 3, -1};
+  for (simd::Level level : AvailableLevels()) {
+    const RelaxOutput out = RunRelaxRow(level, in);
+    const std::string at = simd::LevelName(level);
+    EXPECT_EQ(out.count, 3) << at;
+    EXPECT_EQ(out.improved, (std::vector<int32_t>{0, 1, 3})) << at;
+    ExpectBitEqual(out.distance[0], 0.0, at + " −0.0 reduced → +0.0");
+    ExpectBitEqual(out.distance[1], 0.0, at + " +0.0 reduced");
+    ExpectBitEqual(out.distance[2], cand + kRelaxEps, at + " on the boundary");
+    ExpectBitEqual(out.distance[3], cand, at + " one ulp past it");
+    ExpectBitEqual(out.distance[4], kPosInf, at + " saturated arc");
+    EXPECT_EQ(out.parent,
+              (std::vector<int32_t>{kRelaxTail, kRelaxTail, 3, kRelaxTail, -1}))
+        << at;
   }
 }
 
