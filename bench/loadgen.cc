@@ -27,8 +27,7 @@
 // gates with `validate_report --require-shards`. Child processes get
 // distinct seeds and, in open mode, an equal slice of --rate.
 //
-//   loadgen --port 7400 --fleet 4 --threads 4 --duration_s 8 \
-//       --json fleet.json
+//   loadgen --port 7400 --fleet 4 --threads 4 --duration_s 8 --json fleet.json
 
 #include <sys/wait.h>
 #include <unistd.h>

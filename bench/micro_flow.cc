@@ -1,5 +1,6 @@
-// Microbenchmarks: min-cost-flow substrate on GEACC-shaped bipartite
-// networks (the cost driver of MinCostFlow-GEACC).
+// Microbenchmarks: the generic min-cost-flow engine (flow/min_cost_flow.h)
+// on GEACC-shaped bipartite networks. BMatchingBound runs this engine;
+// MinCostFlow-GEACC runs the dense flow/transport_ssp.h instead.
 
 #include <benchmark/benchmark.h>
 

@@ -2,8 +2,8 @@
 // Exit 0 iff the file parses and matches the schema; used by CI to smoke-
 // test the report pipeline.
 //
-//   build/bench/validate_report [--require-storage] [--require-kernels] \
-//       [--require-shards] [--require-slots] out.json
+//   build/bench/validate_report [--require-storage] [--require-kernels]
+//                               [--require-shards] [--require-slots] out.json
 //
 // --require-storage additionally demands at least one point carrying a
 // "storage" section with sane buffer-pool numbers (budget and page size

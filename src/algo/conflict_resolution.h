@@ -33,8 +33,9 @@ std::vector<EventId> GreedySelectNonConflicting(
 // rule, exponential only in |candidates| ≤ c_u, which the paper's
 // configurations keep ≤ 10. Aborts above 25 candidates. Ties are broken
 // toward the lexicographically smallest event set. Extension beyond the
-// paper (which argues greedy via MWIS NP-hardness); quantified as an
-// ablation in bench/micro_solvers and tests.
+// paper (which argues greedy via MWIS NP-hardness), selected by
+// SolverOptions::exact_conflict_resolution; only tests set it
+// (tests/flow_variants_test.cc, tests/parallel_determinism_test.cc).
 std::vector<EventId> ExactSelectNonConflicting(
     const Instance& instance, UserId u, std::vector<EventId> candidates);
 

@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "algo/conflict_resolution.h"
-#include "flow/graph.h"
-#include "flow/spfa_min_cost_flow.h"
 #include "flow/transport_ssp.h"
 #include "obs/stats.h"
 #include "util/memory.h"
@@ -23,10 +21,9 @@ constexpr double kUnitCostStop = 1.0 - 1e-9;
 
 // Matching extraction reads the settled flow concurrently; per-chunk
 // matched-pair lists fold in chunk order, reproducing the serial
-// row-major Add order exactly. `flow(v, u)` is the unit on the pair.
-template <typename FlowFn>
-void ExtractMatching(const Instance& instance, ThreadPool& pool,
-                     Arrangement* matching, FlowFn flow) {
+// row-major Add order exactly.
+void ExtractMatching(const Instance& instance, const TransportSsp& sspa,
+                     ThreadPool& pool, Arrangement* matching) {
   GEACC_PHASE_TIMER("mcf.extract");
   using PairList = std::vector<std::pair<EventId, UserId>>;
   ParallelMap<PairList>(
@@ -36,7 +33,7 @@ void ExtractMatching(const Instance& instance, ThreadPool& pool,
         for (EventId v = static_cast<EventId>(chunk_begin);
              v < static_cast<EventId>(chunk_end); ++v) {
           for (UserId u = 0; u < instance.num_users(); ++u) {
-            if (flow(v, u) == 1 && instance.Similarity(v, u) > 0.0) {
+            if (sspa.Flow(v, u) == 1 && instance.Similarity(v, u) > 0.0) {
               matched.emplace_back(v, u);
             }
           }
@@ -93,64 +90,27 @@ Arrangement MinCostFlowSolver::SolveWithoutConflictsOn(
   // Δ+1 extends the flow at Δ (see the header for why per-Δ fan-out loses).
   // The network has an arc even for sim = 0 pairs (they may carry flow;
   // such pairs are simply excluded from the extracted matching).
-  int64_t best_delta = 0;
-  uint64_t flow_bytes = 0;
-  if (options_.flow_algorithm == "spfa") {
-    // Node layout: 0 = source, 1..|V| = events, |V|+1..|V|+|U| = users,
-    // |V|+|U|+1 = sink; pair_arcs holds the row-major (v, u) arc ids.
-    const int source = 0;
-    const int sink = num_events + num_users + 1;
-    FlowGraph graph(num_events + num_users + 2);
-    for (EventId v = 0; v < num_events; ++v) {
-      graph.AddArc(source, 1 + v, instance.event_capacity(v), 0.0);
-    }
-    std::vector<int> pair_arcs(pair_costs.size());
-    for (EventId v = 0; v < num_events; ++v) {
-      for (UserId u = 0; u < num_users; ++u) {
-        const size_t pair = static_cast<size_t>(v) * num_users + u;
-        pair_arcs[pair] =
-            graph.AddArc(1 + v, 1 + num_events + u, 1, pair_costs[pair]);
-      }
-    }
-    for (UserId u = 0; u < num_users; ++u) {
-      graph.AddArc(1 + num_events + u, sink, instance.user_capacity(u), 0.0);
-    }
-    {
-      GEACC_PHASE_TIMER("mcf.flow_sweep");
-      SpfaMinCostFlow spfa(&graph, source, sink);
-      while (spfa.AugmentIfCheaper(kUnitCostStop) == 1) ++best_delta;
-      flow_bytes = spfa.ByteEstimate();
-    }
-    ExtractMatching(instance, pool, &matching, [&](EventId v, UserId u) {
-      return graph.Flow(pair_arcs[static_cast<size_t>(v) * num_users + u]);
-    });
-    flow_bytes += graph.ByteEstimate() + VectorBytes(pair_arcs);
-  } else {
-    GEACC_CHECK_EQ(options_.flow_algorithm, std::string("dijkstra"))
-        << "unknown flow_algorithm";
-    std::vector<int64_t> event_capacity(num_events);
-    for (EventId v = 0; v < num_events; ++v) {
-      event_capacity[v] = instance.event_capacity(v);
-    }
-    std::vector<int64_t> user_capacity(num_users);
-    for (UserId u = 0; u < num_users; ++u) {
-      user_capacity[u] = instance.user_capacity(u);
-    }
-    TransportSsp sspa(pair_costs.data(), std::move(event_capacity),
-                      std::move(user_capacity));
-    {
-      GEACC_PHASE_TIMER("mcf.flow_sweep");
-      while (sspa.AugmentIfCheaper(kUnitCostStop) == 1) ++best_delta;
-    }
-    ExtractMatching(instance, pool, &matching,
-                    [&](EventId v, UserId u) { return sspa.Flow(v, u); });
-    flow_bytes = sspa.ByteEstimate();
+  std::vector<int64_t> event_capacity(num_events);
+  for (EventId v = 0; v < num_events; ++v) {
+    event_capacity[v] = instance.event_capacity(v);
   }
+  std::vector<int64_t> user_capacity(num_users);
+  for (UserId u = 0; u < num_users; ++u) {
+    user_capacity[u] = instance.user_capacity(u);
+  }
+  TransportSsp sspa(pair_costs.data(), std::move(event_capacity),
+                    std::move(user_capacity));
+  int64_t best_delta = 0;
+  {
+    GEACC_PHASE_TIMER("mcf.flow_sweep");
+    while (sspa.AugmentIfCheaper(kUnitCostStop) == 1) ++best_delta;
+  }
+  ExtractMatching(instance, sspa, pool, &matching);
   if (stats != nullptr) {
     // +1 for the final (rejected) path search that ended the sweep.
     stats->flow_augmentations += best_delta + 1;
     stats->best_delta = best_delta;
-    stats->logical_peak_bytes += flow_bytes + VectorBytes(pair_costs);
+    stats->logical_peak_bytes += sspa.ByteEstimate() + VectorBytes(pair_costs);
   }
   GEACC_STATS_ADD("mcf.flow_sweeps", 1);
   GEACC_STATS_ADD("mcf.best_delta", best_delta);

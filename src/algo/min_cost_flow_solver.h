@@ -15,13 +15,12 @@
 //
 // Approximation ratio: 1 / max c_u (Theorem 2). Complexity is dominated by
 // Δmax = min{Σc_v, Σc_u} shortest-path searches (the paper's "quartic"
-// cost). The default engine, flow/transport_ssp.h (flow_algorithm =
-// "dijkstra"), relaxes each settled event's dense cost row with one SIMD
-// kernel call, so a search costs O(|V_s|·|U| + H log H) for |V_s|
-// settled events and H heap operations, at most O(|V|·|U| +
-// (|V| + |U|) log(|V| + |U|)). Memory is O(|V|·|U|) doubles — the pair
-// costs and the engine's forward-cost rows — with no residual arc list;
-// flow_algorithm = "spfa" still builds one (flow/graph.h).
+// cost). The engine, flow/transport_ssp.h, relaxes each settled event's
+// dense cost row with one SIMD kernel call, so a search costs
+// O(|V_s|·|U| + H log H) for |V_s| settled events and H heap operations,
+// at most O(|V|·|U| + (|V| + |U|) log(|V| + |U|)). Memory is O(|V|·|U|)
+// doubles — the pair costs and the engine's forward-cost rows — with no
+// residual arc list.
 //
 // Thread-safety: Solve() is const and re-entrant; the flow network is
 // rebuilt per call. Counters reported: mcf.flow_sweeps, mcf.best_delta,

@@ -13,12 +13,6 @@ std::string ValidateSolverOptions(const SolverOptions& options) {
     return StrFormat("threads must be >= 0 (0 = auto), got %d",
                      options.threads);
   }
-  const std::string& flow = options.flow_algorithm;
-  if (flow != "dijkstra" && flow != "spfa") {
-    return StrFormat(
-        "unknown flow_algorithm '%s' (expected dijkstra or spfa)",
-        flow.c_str());
-  }
   if (options.fp_mode != "strict" && options.fp_mode != "fast") {
     return StrFormat("unknown fp_mode '%s' (expected strict or fast)",
                      options.fp_mode.c_str());

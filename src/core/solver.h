@@ -53,11 +53,6 @@ struct SolverOptions {
   // phases of each solver fan out.
   int threads = 1;
 
-  // MinCostFlow-GEACC: shortest-path engine for the SSPA sweep —
-  // "dijkstra" (reduced costs + potentials) or "spfa" (queue-based
-  // Bellman–Ford over real costs). Identical results, different cost.
-  std::string flow_algorithm = "dijkstra";
-
   // MinCostFlow-GEACC: resolve each user's conflicts exactly (bitmask
   // max-weight independent set over their ≤ c_u assigned events) instead
   // of the paper's greedy rule. Never worse, exponential only in c_u.
@@ -103,9 +98,8 @@ struct SolverOptions {
 simd::FpMode ResolveFpMode(const SolverOptions& options);
 
 // Checks the string-valued fields of `options` against the known names
-// (`flow_algorithm` ∈ {dijkstra, spfa}, `fp_mode` ∈ {strict, fast},
-// `bound` ∈ {lemma6, clique, clique-lp}) and that `threads` is
-// non-negative. Returns an empty string when valid, else
+// (`fp_mode` ∈ {strict, fast}, `bound` ∈ {lemma6, clique, clique-lp}) and
+// that `threads` is non-negative. Returns an empty string when valid, else
 // a description of the first bad field. CreateSolver() CHECK-fails on a
 // non-empty result so that typos fail fast instead of surfacing mid-solve
 // (or never, for solvers that ignore the field).

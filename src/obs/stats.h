@@ -3,7 +3,7 @@
 //
 // Hot paths record through two macros:
 //
-//   GEACC_STATS_ADD("flow.spfa.relaxations", 1);
+//   GEACC_STATS_ADD("flow.dijkstra.relaxations", relaxations);
 //   { GEACC_PHASE_TIMER("mcf.flow_sweep"); ... }   // span = enclosing scope
 //
 // Each macro expansion interns its name once (function-local static) into

@@ -40,8 +40,8 @@
 // Determinism: identical (instance, options) → identical result; all tie
 // breaks are fixed (first-best under strict improvement in enumeration
 // order). SolverOptions carries the per-leaf solver configuration
-// (threads, flow_algorithm, fp_mode, bound, ...); slot solvers validate
-// it the same way CreateSolver does.
+// (threads, fp_mode, bound, ...); slot solvers validate it the same way
+// CreateSolver does.
 
 #ifndef GEACC_SLOT_SLOT_SOLVERS_H_
 #define GEACC_SLOT_SLOT_SOLVERS_H_

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
+#include <system_error>
 #include <utility>
 
 #include "core/similarity.h"
@@ -277,6 +279,20 @@ std::unique_ptr<ArrangementService> ArrangementService::Recover(
   }
   std::optional<WalContents> contents = ReadWal(options.wal_path, error);
   if (!contents) return nullptr;
+  if (contents->dropped_tail_lines > 0) {
+    // Appending after a torn final line would fuse the next mutation onto
+    // it, so cut it off. Shrinking a file writes nothing: a crash here
+    // leaves the old file or the trimmed one, and both replay alike.
+    std::error_code trim_error;
+    std::filesystem::resize_file(options.wal_path, contents->valid_bytes,
+                                 trim_error);
+    if (trim_error) {
+      if (error != nullptr) {
+        *error = "cannot trim the torn WAL tail: " + trim_error.message();
+      }
+      return nullptr;
+    }
+  }
 
   const std::string wal_path = options.wal_path;
   std::unique_ptr<ArrangementService> service;
@@ -295,23 +311,7 @@ std::unique_ptr<ArrangementService> ArrangementService::Recover(
   }
   service->wal_mutations_ =
       static_cast<int64_t>(contents->mutations.size());
-  if (contents->dropped_tail_lines > 0) {
-    // A torn final line is still sitting in the file; appending after it
-    // would fuse the next mutation onto the fragment. Rewrite the WAL
-    // from the prefix that replayed.
-    if (!service->wal_.Open(wal_path, contents->initial, error)) {
-      return nullptr;
-    }
-    for (const Mutation& mutation : contents->mutations) {
-      service->wal_.Append(mutation);
-    }
-    if (!service->wal_.Sync()) {
-      if (error != nullptr) *error = "wal rewrite failed";
-      return nullptr;
-    }
-  } else if (!service->wal_.OpenForAppend(wal_path, error)) {
-    return nullptr;
-  }
+  if (!service->wal_.OpenForAppend(wal_path, error)) return nullptr;
   service->PublishInitial();
   service->StartWriter();
   return service;
@@ -337,7 +337,10 @@ SubmitResult ArrangementService::Submit(Mutation mutation) {
     return {SvcStatus::kOverloaded, -1};
   }
   const int64_t ticket = ++next_ticket_;
-  queue_.push_back({std::move(mutation), ticket});
+  PendingMutation pending;
+  pending.mutation = std::move(mutation);
+  pending.ticket = ticket;
+  queue_.push_back(std::move(pending));
   GEACC_STATS_ADD("svc.submits", 1);
   queue_cv_.notify_one();
   return {SvcStatus::kOk, ticket};

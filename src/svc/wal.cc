@@ -87,14 +87,18 @@ std::optional<WalContents> ReadWal(const std::string& path,
   {
     LineReader sentinel(is);
     const auto tokens = sentinel.NextTokens();
-    if (tokens.size() != 1 || tokens[0] != kWalSentinel) {
-      Fail(error, "expected '" + std::string(kWalSentinel) +
-                      "' after the embedded instance");
+    // A sentinel without its newline was torn while the WAL was being
+    // created, like any other cut in the header region: appending after
+    // it would fuse the first mutation onto it.
+    if (tokens.size() != 1 || tokens[0] != kWalSentinel || is.eof()) {
+      Fail(error, "expected a '" + std::string(kWalSentinel) +
+                      "' line after the embedded instance");
       return std::nullopt;
     }
   }
 
-  WalContents contents{std::move(*initial), {}, 0};
+  WalContents contents{std::move(*initial), {}, 0,
+                       static_cast<uint64_t>(is.tellg())};
   // Parse mutation lines to EOF by hand (not LineReader) so a torn final
   // line — no trailing newline, the crash signature — is distinguishable
   // from corruption in the middle of the log.
@@ -118,16 +122,18 @@ std::optional<WalContents> ReadWal(const std::string& path,
       break;
     }
     const std::string_view trimmed = Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    std::string mutation_error;
-    std::optional<Mutation> mutation =
-        ParseMutationLine(std::string(trimmed), dim, &mutation_error);
-    if (!mutation) {
-      pending = true;
-      pending_error = mutation_error;
-      continue;
+    if (!trimmed.empty() && trimmed[0] != '#') {
+      std::string mutation_error;
+      std::optional<Mutation> mutation =
+          ParseMutationLine(std::string(trimmed), dim, &mutation_error);
+      if (!mutation) {
+        pending = true;
+        pending_error = mutation_error;
+        continue;
+      }
+      contents.mutations.push_back(std::move(*mutation));
     }
-    contents.mutations.push_back(std::move(*mutation));
+    contents.valid_bytes += line.size() + 1;
   }
   if (pending) contents.dropped_tail_lines = 1;
   return contents;

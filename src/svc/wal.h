@@ -18,25 +18,23 @@
 //
 // Crash discipline: a final line without its newline is a torn append
 // (the process died mid-append) and is dropped during recovery, even when
-// the fragment parses; so is a malformed final line. Any earlier
-// malformed line is a hard error. Checkpoints are separate, colder
-// artifacts: a compacted dense instance + arrangement written through
-// src/io for export, inspection, or warm-starting a new service (dense
-// ids — slot identity is intentionally not preserved; the WAL is the
-// recovery path).
+// the fragment parses; so is a malformed final line. Recovery cuts the
+// file back to the replayed prefix (WalContents::valid_bytes) before
+// appending again. Any earlier malformed line, and any cut in the header
+// region, is a hard error.
 //
 // Thread-safety: WalWriter is single-writer (the service writer thread);
-// ReadWal/checkpoint functions touch only their arguments.
+// ReadWal touches only its arguments.
 
 #ifndef GEACC_SVC_WAL_H_
 #define GEACC_SVC_WAL_H_
 
+#include <cstdint>
 #include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "core/arrangement.h"
 #include "core/instance.h"
 #include "dyn/mutation.h"
 
@@ -73,6 +71,8 @@ struct WalContents {
   // 1 when a torn final line was dropped (crash mid-append), else 0:
   // a final line with no newline, or a malformed final line.
   int dropped_tail_lines = 0;
+  // Length of the prefix that replayed: everything but the dropped line.
+  uint64_t valid_bytes = 0;
 };
 
 // Parses a WAL file. Returns nullopt with a diagnostic on a missing file,

@@ -1,15 +1,22 @@
-// Cross-checks between the two min-cost-flow engines (Dijkstra+potentials
-// vs SPFA) and tests of the MinCostFlow-GEACC options that select between
-// them and between greedy/exact conflict resolution.
+// Cross-checks between the two min-cost-flow engines — the generic
+// Dijkstra engine over a FlowGraph (flow/min_cost_flow.h) and the dense
+// transport engine MinCostFlow-GEACC runs (flow/transport_ssp.h) — on
+// small random networks, and tests of exact conflict resolution.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "algo/conflict_resolution.h"
 #include "algo/min_cost_flow_solver.h"
-#include "algo/solvers.h"
 #include "flow/graph.h"
 #include "flow/min_cost_flow.h"
-#include "flow/spfa_min_cost_flow.h"
+#include "flow/transport_ssp.h"
+#include "simd/simd.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
@@ -19,101 +26,114 @@ namespace {
 using geacc::testing::MakeTableInstance;
 using geacc::testing::SmallRandomInstance;
 
-FlowGraph RandomBipartite(int events, int users, uint64_t seed, int* source,
-                          int* sink) {
+uint64_t Bits(double x) {
+  uint64_t u;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& xs) {
+  std::vector<uint64_t> out;
+  for (const double x : xs) out.push_back(Bits(x));
+  return out;
+}
+
+// source → events (capacity 1..3) → users (capacity 1, cost in [0, 1))
+// → sink (capacity 1..2), drawn in that order.
+struct Bipartite {
+  int events = 0;
+  int users = 0;
+  std::vector<int64_t> event_capacity;
+  std::vector<double> costs;  // row-major |V|×|U|
+  std::vector<int64_t> user_capacity;
+};
+
+Bipartite RandomBipartite(int events, int users, uint64_t seed) {
   Rng rng(seed);
-  FlowGraph graph(events + users + 2);
-  *source = 0;
-  *sink = events + users + 1;
+  Bipartite net;
+  net.events = events;
+  net.users = users;
   for (int v = 0; v < events; ++v) {
-    graph.AddArc(*source, 1 + v, rng.UniformInt(1, 3), 0.0);
+    net.event_capacity.push_back(rng.UniformInt(1, 3));
   }
-  for (int v = 0; v < events; ++v) {
-    for (int u = 0; u < users; ++u) {
-      graph.AddArc(1 + v, 1 + events + u, 1, rng.NextDouble());
-    }
+  for (int pair = 0; pair < events * users; ++pair) {
+    net.costs.push_back(rng.NextDouble());
   }
   for (int u = 0; u < users; ++u) {
-    graph.AddArc(1 + events + u, *sink, rng.UniformInt(1, 2), 0.0);
+    net.user_capacity.push_back(rng.UniformInt(1, 2));
+  }
+  return net;
+}
+
+// The same network as a FlowGraph, in TransportSsp's node numbering:
+// 0 = source, 1..|V| events, |V|+1..|V|+|U| users, |V|+|U|+1 = sink.
+FlowGraph BuildGraph(const Bipartite& net) {
+  FlowGraph graph(net.events + net.users + 2);
+  for (int v = 0; v < net.events; ++v) {
+    graph.AddArc(0, 1 + v, net.event_capacity[v], 0.0);
+  }
+  for (int v = 0; v < net.events; ++v) {
+    for (int u = 0; u < net.users; ++u) {
+      graph.AddArc(1 + v, 1 + net.events + u, 1,
+                   net.costs[static_cast<size_t>(v) * net.users + u]);
+    }
+  }
+  for (int u = 0; u < net.users; ++u) {
+    graph.AddArc(1 + net.events + u, net.events + net.users + 1,
+                 net.user_capacity[u], 0.0);
   }
   return graph;
+}
+
+// Runs AugmentIfCheaper(cost_limit) on both engines side by side until
+// the generic one stops, comparing the return value, the path and the bits
+// of its cost and of every potential after each call.
+void RunLockstep(const Bipartite& net, double cost_limit,
+                 const std::string& mode) {
+  FlowGraph graph = BuildGraph(net);
+  SuccessiveShortestPaths generic(&graph, 0, net.events + net.users + 1);
+  TransportSsp dense(net.costs.data(), net.event_capacity, net.user_capacity);
+  for (int step = 0;; ++step) {
+    const std::string at = mode + " step " + std::to_string(step);
+    const int64_t pushed = generic.AugmentIfCheaper(cost_limit);
+    EXPECT_EQ(dense.AugmentIfCheaper(cost_limit), pushed) << at;
+    EXPECT_EQ(dense.LastPath(), generic.LastPath()) << at;
+    EXPECT_EQ(Bits(dense.last_path_cost()), Bits(generic.last_path_cost()))
+        << at;
+    EXPECT_EQ(Bits(dense.potentials()), Bits(generic.potentials())) << at;
+    if (pushed == 0 || ::testing::Test::HasFailure()) break;
+  }
+  EXPECT_EQ(dense.total_flow(), generic.total_flow()) << mode;
+  EXPECT_EQ(Bits(dense.total_cost()), Bits(generic.total_cost())) << mode;
+}
+
+// RunLockstep at the scalar and the auto dispatch level (TransportSsp's
+// row kernel is dispatched; the generic engine is not).
+void RunAtEveryLevel(const Bipartite& net, double cost_limit) {
+  for (const char* mode : {"scalar", "auto"}) {
+    std::string error;
+    EXPECT_TRUE(simd::SetDispatchOverride(mode, &error)) << error;
+    RunLockstep(net, cost_limit, mode);
+  }
+  std::string error;
+  EXPECT_TRUE(simd::SetDispatchOverride("auto", &error)) << error;
 }
 
 class FlowEngineAgreementTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FlowEngineAgreementTest, PerUnitCostsAgree) {
-  int source = 0, sink = 0;
-  FlowGraph dijkstra_graph =
-      RandomBipartite(4, 7, GetParam(), &source, &sink);
-  FlowGraph spfa_graph = RandomBipartite(4, 7, GetParam(), &source, &sink);
-  SuccessiveShortestPaths dijkstra(&dijkstra_graph, source, sink);
-  SpfaMinCostFlow spfa(&spfa_graph, source, sink);
-  while (true) {
-    const double dijkstra_before = dijkstra.total_cost();
-    const double spfa_before = spfa.total_cost();
-    const int64_t a = dijkstra.Augment(1);
-    const int64_t b = spfa.Augment(1);
-    ASSERT_EQ(a, b);
-    if (a == 0) break;
-    ASSERT_NEAR(dijkstra.total_cost() - dijkstra_before,
-                spfa.total_cost() - spfa_before, 1e-6);
-  }
-  EXPECT_EQ(dijkstra.total_flow(), spfa.total_flow());
-  EXPECT_NEAR(dijkstra.total_cost(), spfa.total_cost(), 1e-6);
+  // No cost limit: both engines run to maximum flow.
+  RunAtEveryLevel(RandomBipartite(4, 7, GetParam()),
+                  std::numeric_limits<double>::infinity());
 }
 
 TEST_P(FlowEngineAgreementTest, ProfitableSweepAgrees) {
-  int source = 0, sink = 0;
-  FlowGraph dijkstra_graph =
-      RandomBipartite(5, 8, GetParam() + 333, &source, &sink);
-  FlowGraph spfa_graph =
-      RandomBipartite(5, 8, GetParam() + 333, &source, &sink);
-  SuccessiveShortestPaths dijkstra(&dijkstra_graph, source, sink);
-  SpfaMinCostFlow spfa(&spfa_graph, source, sink);
-  int64_t a = 0, b = 0;
-  while (dijkstra.AugmentIfCheaper(0.8) == 1) ++a;
-  while (spfa.AugmentIfCheaper(0.8) == 1) ++b;
-  EXPECT_EQ(a, b);
-  EXPECT_NEAR(dijkstra.total_cost(), spfa.total_cost(), 1e-6);
+  // The sweep stops at the first path costing 0.8 or more.
+  RunAtEveryLevel(RandomBipartite(5, 8, GetParam() + 333), 0.8);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowEngineAgreementTest,
                          ::testing::Range<uint64_t>(0, 15));
-
-TEST(SpfaMinCostFlow, HandlesNegativeCostsWithoutBootstrap) {
-  FlowGraph graph(4);
-  graph.AddArc(0, 1, 1, -2.0);
-  graph.AddArc(1, 3, 1, 1.0);
-  graph.AddArc(0, 2, 1, 0.0);
-  graph.AddArc(2, 3, 1, 0.5);
-  SpfaMinCostFlow spfa(&graph, 0, 3);
-  EXPECT_EQ(spfa.RunToMaxFlow(), 2);
-  EXPECT_DOUBLE_EQ(spfa.total_cost(), -0.5);
-}
-
-TEST(MinCostFlowSolver, SpfaEngineGivesSameMaxSum) {
-  for (uint64_t seed = 0; seed < 8; ++seed) {
-    const Instance instance = SmallRandomInstance(5, 12, 0.3, 3, seed);
-    SolverOptions dijkstra_options, spfa_options;
-    spfa_options.flow_algorithm = "spfa";
-    const double a = MinCostFlowSolver(dijkstra_options)
-                         .Solve(instance)
-                         .arrangement.MaxSum(instance);
-    const SolveResult spfa_result =
-        MinCostFlowSolver(spfa_options).Solve(instance);
-    EXPECT_EQ(spfa_result.arrangement.Validate(instance), "");
-    EXPECT_NEAR(a, spfa_result.arrangement.MaxSum(instance), 1e-9)
-        << "seed " << seed;
-  }
-}
-
-TEST(MinCostFlowSolverDeathTest, RejectsUnknownFlowAlgorithm) {
-  SolverOptions options;
-  options.flow_algorithm = "bogus";
-  const MinCostFlowSolver solver(options);
-  const Instance instance = SmallRandomInstance(2, 3, 0.0, 1, 1);
-  EXPECT_DEATH(solver.Solve(instance), "unknown flow_algorithm");
-}
 
 // ------------------------------------------ exact conflict resolution ----
 

@@ -183,7 +183,9 @@ TEST(PaperShapes, EffectivenessMiniature) {
     EXPECT_LE(greedy, opt + 1e-9);
     EXPECT_LE(mcf, opt + 1e-9);
     EXPECT_GT(greedy, 0.85 * opt) << "density " << density;
-    if (density == 0.0) EXPECT_NEAR(mcf, opt, 1e-9);
+    if (density == 0.0) {
+      EXPECT_NEAR(mcf, opt, 1e-9);
+    }
   }
 }
 

@@ -80,11 +80,7 @@ void ExpectThreadInvariant(const std::string& solver_name,
 TEST(ParallelDeterminism, MinCostFlowFuzz) {
   for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     const Instance instance = MakeInstance(20, 60, 8, seed, 0.25);
-    for (const char* flow : {"dijkstra", "spfa"}) {
-      SolverOptions options;
-      options.flow_algorithm = flow;
-      ExpectThreadInvariant("mincostflow", options, instance);
-    }
+    ExpectThreadInvariant("mincostflow", SolverOptions(), instance);
   }
 }
 

@@ -5,12 +5,18 @@
 // queueing unboundedly, and crash recovery replays to the same state —
 // torn tail included.
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -441,6 +447,67 @@ TEST(ArrangementService, RecoverDropsTornFinalLineThatParses) {
   std::remove(wal_path.c_str());
 }
 
+// Runs Recover() in a process whose file writes fail past `limit` bytes
+// (EFBIG, with SIGXFSZ ignored). Returns 0 when it succeeds.
+int RecoverUnderFileSizeLimit(const ServiceOptions& options, rlim_t limit) {
+  std::signal(SIGXFSZ, SIG_IGN);
+  const rlimit fsize{limit, limit};
+  if (setrlimit(RLIMIT_FSIZE, &fsize) != 0) return 2;
+  std::string error;
+  std::unique_ptr<ArrangementService> recovered =
+      ArrangementService::Recover(options, &error);
+  if (recovered == nullptr) {
+    std::fprintf(stderr, "Recover failed: '%s'\n", error.c_str());
+    return 1;
+  }
+  recovered->Stop();
+  return 0;
+}
+
+TEST(ArrangementService, RecoverDropsTornFinalLineWithoutRewritingTheLog) {
+  // Recovery must cut a torn tail off in place. A recovery that rewrites
+  // the log and dies part way (here a child process whose writes fail past
+  // half the valid prefix) leaves a log that no longer parses, and every
+  // acknowledged mutation in it is gone.
+  const std::string wal_path = TempPath("svc_torn_fsize.wal");
+  const Instance instance = SmallInstance(23);
+  ServiceOptions options;
+  options.wal_path = wal_path;
+
+  std::vector<std::pair<UserId, EventId>> pairs_before;
+  {
+    ArrangementService service(instance, options);
+    for (int i = 0; i < 20; ++i) {
+      service.Submit(Mutation::SetUserCapacity(i, 1 + i % 4));
+    }
+    service.Flush();
+    pairs_before = SnapshotPairs(*service.snapshot());
+  }
+  const uintmax_t prefix_bytes = std::filesystem::file_size(wal_path);
+  {
+    std::ofstream torn(wal_path, std::ios::app);
+    torn << "set_user_capacity 3";
+  }
+
+  const rlim_t limit = prefix_bytes / 2;
+  EXPECT_EXIT(std::_Exit(RecoverUnderFileSizeLimit(options, limit)),
+              ::testing::ExitedWithCode(0), "");
+
+  EXPECT_EQ(std::filesystem::file_size(wal_path), prefix_bytes);
+  std::string error;
+  const std::optional<WalContents> wal = ReadWal(wal_path, &error);
+  ASSERT_TRUE(wal.has_value()) << error;
+  EXPECT_EQ(wal->mutations.size(), 20u);
+  EXPECT_EQ(wal->dropped_tail_lines, 0);
+  EXPECT_EQ(wal->valid_bytes, prefix_bytes);
+  std::unique_ptr<ArrangementService> recovered =
+      ArrangementService::Recover(options, &error);
+  ASSERT_NE(recovered, nullptr) << error;
+  EXPECT_EQ(SnapshotPairs(*recovered->snapshot()), pairs_before);
+  recovered->Stop();
+  std::remove(wal_path.c_str());
+}
+
 TEST(ArrangementService, CheckpointRoundTrips) {
   // The one checkpoint format is the paged one: the state written at
   // Stop() comes back through Recover() (checkpoint + empty WAL suffix)
@@ -514,6 +581,25 @@ TEST(WalReader, RejectsCorruptionThatIsNotATornTail) {
   std::string error;
   EXPECT_FALSE(ReadWal(wal_path, &error).has_value());
   EXPECT_NE(error.find("mutation line"), std::string::npos) << error;
+  std::remove(wal_path.c_str());
+}
+
+TEST(WalReader, RejectsATornSentinel) {
+  // The header region is written before any mutation is acknowledged. A
+  // cut anywhere in it, down to the sentinel's newline, is a hard error:
+  // the next append would otherwise fuse onto the sentinel.
+  const std::string wal_path = TempPath("svc_torn_sentinel.wal");
+  {
+    ServiceOptions options;
+    options.wal_path = wal_path;
+    ArrangementService service(SmallInstance(), options);
+  }
+  std::filesystem::resize_file(wal_path,
+                               std::filesystem::file_size(wal_path) - 1);
+
+  std::string error;
+  EXPECT_FALSE(ReadWal(wal_path, &error).has_value());
+  EXPECT_NE(error.find("wal-mutations"), std::string::npos) << error;
   std::remove(wal_path.c_str());
 }
 

@@ -183,7 +183,7 @@ TEST(BatchKernels, StrictBitIdenticalAcrossShapes) {
       std::vector<double> query(static_cast<size_t>(dim));
       for (double& q : query) q = rng.UniformReal(0.0, 100.0);
       CheckStrictIdentity(m, query,
-                          "d" + std::to_string(dim) + "xn" +
+                          std::string("d") + std::to_string(dim) + "xn" +
                               std::to_string(rows));
     }
   }

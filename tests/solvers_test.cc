@@ -31,20 +31,27 @@ TEST(SolverRegistry, CreatesEveryListedSolver) {
   EXPECT_EQ(CreateSolver("no-such-solver"), nullptr);
 }
 
-TEST(SolverRegistry, UnknownFlowAlgorithmOptionDies) {
-  SolverOptions options;
-  options.flow_algorithm = "simplex";
-  EXPECT_DEATH(CreateSolver("mincostflow", options),
-               "unknown flow_algorithm 'simplex'");
+TEST(SolverRegistry, UnknownOptionValuesDie) {
+  // CreateSolver fails fast, naming the field, even for a solver that
+  // ignores it.
+  SolverOptions fp_options;
+  fp_options.fp_mode = "approximate";
+  EXPECT_DEATH(CreateSolver("greedy", fp_options),
+               "unknown fp_mode 'approximate'");
+  SolverOptions bound_options;
+  bound_options.bound = "simplex";
+  EXPECT_DEATH(CreateSolver("mincostflow", bound_options),
+               "unknown bound 'simplex'");
 }
 
 TEST(SolverRegistry, ValidateSolverOptionsAcceptsAllKnownValues) {
-  for (const char* flow : {"dijkstra", "spfa"}) {
+  for (const char* fp_mode : {"strict", "fast"}) {
     for (const char* bound : {"lemma6", "clique", "clique-lp"}) {
       SolverOptions options;
-      options.flow_algorithm = flow;
+      options.fp_mode = fp_mode;
       options.bound = bound;
-      EXPECT_EQ(ValidateSolverOptions(options), "") << flow << "/" << bound;
+      EXPECT_EQ(ValidateSolverOptions(options), "")
+          << fp_mode << "/" << bound;
     }
   }
 }

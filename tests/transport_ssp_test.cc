@@ -63,8 +63,9 @@ void AddCounters(const obs::StatsSnapshot& delta,
   for (const auto& [name, value] : delta.counters) (*total)[name] += value;
 }
 
-// The generic engine's network, built as MinCostFlowSolver's spfa path
-// builds it; pair_arcs holds the row-major (v, u) forward arc ids.
+// The same network as a FlowGraph for the generic engine, in
+// TransportSsp's node numbering; pair_arcs holds the row-major (v, u)
+// forward arc ids.
 FlowGraph BuildGraph(const Network& net, std::vector<int>* pair_arcs) {
   const int sink = net.events + net.users + 1;
   FlowGraph graph(net.events + net.users + 2);

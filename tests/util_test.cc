@@ -242,7 +242,7 @@ TEST(Memory, VectorBytesUsesCapacity) {
 TEST(Timer, MeasuresElapsedTime) {
   WallTimer timer;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += std::sqrt(i);
+  for (int i = 0; i < 100000; ++i) sink = sink + std::sqrt(i);
   EXPECT_GE(timer.Seconds(), 0.0);
   timer.Restart();
   EXPECT_LT(timer.Seconds(), 1.0);

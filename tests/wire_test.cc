@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,25 @@
 
 namespace geacc::svc {
 namespace {
+
+// A request or response with the fields a case names; the rest keep
+// their defaults.
+WireRequest Request(MsgType type, int32_t id = -1, int32_t k = 0,
+                    std::string payload = "") {
+  WireRequest request;
+  request.type = type;
+  request.id = id;
+  request.k = k;
+  request.payload = std::move(payload);
+  return request;
+}
+
+WireResponse Response(MsgType type, std::string message = "") {
+  WireResponse response;
+  response.type = type;
+  response.message = std::move(message);
+  return response;
+}
 
 // Bytes after the length prefix — what Decode* consumes.
 std::vector<uint8_t> Payload(const std::string& frame) {
@@ -31,13 +51,13 @@ uint32_t PrefixOf(const std::string& frame) {
 
 TEST(Wire, RequestRoundTripsEveryType) {
   std::vector<WireRequest> requests;
-  requests.push_back({MsgType::kPing, -1, 0, ""});
-  requests.push_back({MsgType::kGetAssignments, 42, 0, ""});
-  requests.push_back({MsgType::kGetAttendees, 7, 0, ""});
-  requests.push_back({MsgType::kTopK, 3, 10, ""});
-  requests.push_back({MsgType::kStats, -1, 0, ""});
+  requests.push_back(Request(MsgType::kPing));
+  requests.push_back(Request(MsgType::kGetAssignments, 42));
+  requests.push_back(Request(MsgType::kGetAttendees, 7));
+  requests.push_back(Request(MsgType::kTopK, 3, 10));
+  requests.push_back(Request(MsgType::kStats));
   requests.push_back(
-      {MsgType::kMutate, -1, 0, "add_user 2 0.5 1.25 3.75 100"});
+      Request(MsgType::kMutate, -1, 0, "add_user 2 0.5 1.25 3.75 100"));
 
   for (const WireRequest& request : requests) {
     const std::string frame = EncodeRequestFrame(request);
@@ -57,8 +77,10 @@ TEST(Wire, RequestRoundTripsEveryType) {
 
 TEST(Wire, ResponseRoundTripsEveryType) {
   std::vector<WireResponse> responses;
-  responses.push_back({MsgType::kPong, {}, {}, {}, -1, ""});
-  responses.push_back({MsgType::kIdList, {3, 1, 4, 1, 5}, {}, {}, -1, ""});
+  responses.push_back(Response(MsgType::kPong));
+  WireResponse ids = Response(MsgType::kIdList);
+  ids.ids = {3, 1, 4, 1, 5};
+  responses.push_back(ids);
   WireResponse scored;
   scored.type = MsgType::kScoredList;
   scored.scored = {{7, 0.875}, {2, 0.5}, {9, 0.0}};
@@ -80,8 +102,8 @@ TEST(Wire, ResponseRoundTripsEveryType) {
   ack.type = MsgType::kMutateAck;
   ack.ticket = 1234567890123LL;
   responses.push_back(ack);
-  responses.push_back({MsgType::kOverloaded, {}, {}, {}, -1, ""});
-  responses.push_back({MsgType::kError, {}, {}, {}, -1, "no active user 7"});
+  responses.push_back(Response(MsgType::kOverloaded));
+  responses.push_back(Response(MsgType::kError, "no active user 7"));
 
   for (const WireResponse& response : responses) {
     const std::string frame = EncodeResponseFrame(response);
@@ -276,9 +298,9 @@ TEST(Wire, TruncationAtEveryByteFailsCleanly) {
 
   const std::vector<std::vector<uint8_t>> bodies = {
       Payload(EncodeRequestFrame(mutate)),
-      Payload(EncodeRequestFrame({MsgType::kTopK, 3, 10, ""})),
+      Payload(EncodeRequestFrame(Request(MsgType::kTopK, 3, 10))),
       Payload(EncodeResponseFrame(scored)),
-      Payload(EncodeResponseFrame({MsgType::kError, {}, {}, {}, -1, "bad"})),
+      Payload(EncodeResponseFrame(Response(MsgType::kError, "bad"))),
   };
   for (const std::vector<uint8_t>& body : bodies) {
     for (size_t cut = 0; cut < body.size(); ++cut) {
@@ -296,14 +318,14 @@ TEST(Wire, TruncationAtEveryByteFailsCleanly) {
 
 TEST(Wire, TrailingBytesAreRejected) {
   for (std::vector<uint8_t> body :
-       {Payload(EncodeRequestFrame({MsgType::kPing, -1, 0, ""})),
-        Payload(EncodeRequestFrame({MsgType::kGetAssignments, 1, 0, ""}))}) {
+       {Payload(EncodeRequestFrame(Request(MsgType::kPing))),
+        Payload(EncodeRequestFrame(Request(MsgType::kGetAssignments, 1)))}) {
     body.push_back(0);
     WireRequest request;
     EXPECT_FALSE(DecodeRequest(body.data(), body.size(), &request));
   }
   std::vector<uint8_t> body =
-      Payload(EncodeResponseFrame({MsgType::kPong, {}, {}, {}, -1, ""}));
+      Payload(EncodeResponseFrame(Response(MsgType::kPong)));
   body.push_back(0xFF);
   WireResponse response;
   EXPECT_FALSE(DecodeResponse(body.data(), body.size(), &response));
@@ -311,7 +333,7 @@ TEST(Wire, TrailingBytesAreRejected) {
 
 TEST(Wire, BadVersionAndTypeAreRejected) {
   std::vector<uint8_t> body =
-      Payload(EncodeRequestFrame({MsgType::kPing, -1, 0, ""}));
+      Payload(EncodeRequestFrame(Request(MsgType::kPing)));
   ASSERT_GE(body.size(), 2u);
 
   std::vector<uint8_t> bad_version = body;
