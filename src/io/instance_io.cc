@@ -1,10 +1,10 @@
 #include "io/instance_io.h"
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <ostream>
-#include <sstream>
 #include <vector>
 
 #include "io/line_reader.h"
@@ -17,60 +17,80 @@ using io_internal::At;
 using io_internal::Fail;
 using io_internal::LineReader;
 using io_internal::ParseCountLine;
+using io_internal::Tokens;
 
 // Parses an entity line "<keyword> <capacity> <attr...>"; appends the
-// attributes and capacity. Returns false on malformed input.
-bool ParseEntityLine(const std::vector<std::string>& tokens,
-                     const std::string& keyword, int dim,
-                     std::vector<std::vector<double>>& rows,
+// attributes to `matrix` (via the scratch `row`) and the capacity.
+// Returns false on malformed input.
+bool ParseEntityLine(const Tokens& tokens, std::string_view keyword,
+                     std::vector<double>& row, AttributeMatrix& matrix,
                      std::vector<int>& capacities) {
+  const int dim = matrix.dim();
   if (tokens.size() != static_cast<size_t>(dim) + 2 || tokens[0] != keyword) {
     return false;
   }
   const auto capacity = ParseInt(tokens[1]);
   if (!capacity) return false;
-  std::vector<double> row(dim);
+  row.resize(dim);
   for (int j = 0; j < dim; ++j) {
     const auto value = ParseDouble(tokens[2 + j]);
-    // strtod happily yields "nan"/"inf"; no finite writer emits them, so
+    // ParseDouble yields "nan"/"inf"; no finite writer emits them, so
     // treat them as corruption rather than let NaN poison similarities.
     if (!value || !std::isfinite(*value)) return false;
     row[j] = *value;
   }
-  rows.push_back(std::move(row));
+  matrix.AppendRow(row);
   capacities.push_back(static_cast<int>(*capacity));
   return true;
+}
+
+// "<keyword> <capacity> <attr...>" plus newline, into `line`.
+void AppendEntityLine(std::string* line, std::string_view keyword,
+                      int capacity, const double* row, int dim) {
+  line->append(keyword);
+  line->push_back(' ');
+  AppendInt(line, capacity);
+  for (int j = 0; j < dim; ++j) {
+    line->push_back(' ');
+    AppendDouble(line, row[j]);
+  }
+  line->push_back('\n');
 }
 
 }  // namespace
 
 void WriteInstance(const Instance& instance, std::ostream& os) {
+  // Lines are encoded into one reused buffer; the whole instance in one
+  // string would double the writer's memory peak at service scale.
+  std::string line;
+  AppendDouble(&line, instance.similarity().Param());
   os << "geacc-instance v1\n";
-  os << "similarity " << instance.similarity().Name() << " "
-     << StrFormat("%.17g", instance.similarity().Param()) << "\n";
+  os << "similarity " << instance.similarity().Name() << " " << line << "\n";
   os << "dim " << instance.dim() << "\n";
   os << "events " << instance.num_events() << "\n";
   for (EventId v = 0; v < instance.num_events(); ++v) {
-    os << "event " << instance.event_capacity(v);
-    const double* row = instance.event_attributes().Row(v);
-    for (int j = 0; j < instance.dim(); ++j) {
-      os << " " << StrFormat("%.17g", row[j]);
-    }
-    os << "\n";
+    line.clear();
+    AppendEntityLine(&line, "event", instance.event_capacity(v),
+                     instance.event_attributes().Row(v), instance.dim());
+    os << line;
   }
   os << "users " << instance.num_users() << "\n";
   for (UserId u = 0; u < instance.num_users(); ++u) {
-    os << "user " << instance.user_capacity(u);
-    const double* row = instance.user_attributes().Row(u);
-    for (int j = 0; j < instance.dim(); ++j) {
-      os << " " << StrFormat("%.17g", row[j]);
-    }
-    os << "\n";
+    line.clear();
+    AppendEntityLine(&line, "user", instance.user_capacity(u),
+                     instance.user_attributes().Row(u), instance.dim());
+    os << line;
   }
   os << "conflicts " << instance.conflicts().num_conflict_pairs() << "\n";
   for (EventId v = 0; v < instance.num_events(); ++v) {
     for (const EventId w : instance.conflicts().ConflictsOf(v)) {
-      if (w > v) os << "conflict " << v << " " << w << "\n";
+      if (w <= v) continue;
+      line = "conflict ";
+      AppendInt(&line, v);
+      line.push_back(' ');
+      AppendInt(&line, w);
+      line.push_back('\n');
+      os << line;
     }
   }
 }
@@ -78,7 +98,7 @@ void WriteInstance(const Instance& instance, std::ostream& os) {
 std::optional<Instance> ReadInstance(std::istream& is, std::string* error) {
   LineReader reader(is);
 
-  auto tokens = reader.NextTokens();
+  Tokens tokens = reader.NextTokens();
   if (tokens.size() != 2 || tokens[0] != "geacc-instance" ||
       tokens[1] != "v1") {
     Fail(error, At(reader, "expected header 'geacc-instance v1'"));
@@ -90,7 +110,7 @@ std::optional<Instance> ReadInstance(std::istream& is, std::string* error) {
     Fail(error, At(reader, "expected 'similarity <name> <param>'"));
     return std::nullopt;
   }
-  const std::string similarity_name = tokens[1];
+  const std::string similarity_name(tokens[1]);
   const auto similarity_param = ParseDouble(tokens[2]);
   if (!similarity_param) {
     Fail(error, At(reader, "bad similarity parameter"));
@@ -110,7 +130,7 @@ std::optional<Instance> ReadInstance(std::istream& is, std::string* error) {
     return std::nullopt;
   }
   const auto dim = ParseInt(tokens[1]);
-  if (!dim || *dim < 0) {
+  if (!dim || *dim < 0 || *dim > INT32_MAX) {
     Fail(error, At(reader, "bad dimension"));
     return std::nullopt;
   }
@@ -120,11 +140,11 @@ std::optional<Instance> ReadInstance(std::istream& is, std::string* error) {
     Fail(error, At(reader, "expected 'events <count>'"));
     return std::nullopt;
   }
-  std::vector<std::vector<double>> event_rows;
+  std::vector<double> row;
+  AttributeMatrix events(0, static_cast<int>(*dim));
   std::vector<int> event_capacities;
   for (int64_t i = 0; i < num_events; ++i) {
-    if (!ParseEntityLine(reader.NextTokens(), "event",
-                         static_cast<int>(*dim), event_rows,
+    if (!ParseEntityLine(reader.NextTokens(), "event", row, events,
                          event_capacities)) {
       Fail(error, At(reader, "malformed event line"));
       return std::nullopt;
@@ -136,11 +156,11 @@ std::optional<Instance> ReadInstance(std::istream& is, std::string* error) {
     Fail(error, At(reader, "expected 'users <count>'"));
     return std::nullopt;
   }
-  std::vector<std::vector<double>> user_rows;
+  AttributeMatrix users(0, static_cast<int>(*dim));
   std::vector<int> user_capacities;
   for (int64_t i = 0; i < num_users; ++i) {
-    if (!ParseEntityLine(reader.NextTokens(), "user", static_cast<int>(*dim),
-                         user_rows, user_capacities)) {
+    if (!ParseEntityLine(reader.NextTokens(), "user", row, users,
+                         user_capacities)) {
       Fail(error, At(reader, "malformed user line"));
       return std::nullopt;
     }
@@ -170,15 +190,6 @@ std::optional<Instance> ReadInstance(std::istream& is, std::string* error) {
                           static_cast<EventId>(*b));
   }
 
-  // Pad a dimension mismatch check for empty sides: FromRows of an empty
-  // list yields dim 0, so force the declared dim.
-  AttributeMatrix events =
-      event_rows.empty()
-          ? AttributeMatrix(0, static_cast<int>(*dim))
-          : AttributeMatrix::FromRows(event_rows);
-  AttributeMatrix users = user_rows.empty()
-                              ? AttributeMatrix(0, static_cast<int>(*dim))
-                              : AttributeMatrix::FromRows(user_rows);
   return Instance(std::move(events), std::move(event_capacities),
                   std::move(users), std::move(user_capacities),
                   std::move(conflicts), std::move(similarity));
@@ -213,7 +224,7 @@ std::optional<Arrangement> ReadArrangement(std::istream& is,
                                            const Instance& instance,
                                            std::string* error) {
   LineReader reader(is);
-  auto tokens = reader.NextTokens();
+  Tokens tokens = reader.NextTokens();
   if (tokens.size() != 2 || tokens[0] != "geacc-arrangement" ||
       tokens[1] != "v1") {
     Fail(error, At(reader, "expected header 'geacc-arrangement v1'"));

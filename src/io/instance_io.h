@@ -16,8 +16,10 @@
 //   pairs 7
 //   pair <event> <user>                            (×|M|)
 //
-// Writers emit attributes with %.17g so a save/load round trip is
-// bit-exact. Readers return std::nullopt with a diagnostic on malformed
+// Writers emit attributes with AppendDouble (the bytes of "%.17g") and
+// readers parse them with ParseDouble (util/string_util.h), so a
+// save/load round trip is bit-exact for every finite double, subnormals
+// included. Readers return std::nullopt with a diagnostic on malformed
 // input instead of aborting — files cross trust boundaries, unlike
 // in-process invariants.
 

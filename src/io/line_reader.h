@@ -7,40 +7,41 @@
 #define GEACC_IO_LINE_READER_H_
 
 #include <istream>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/string_util.h"
 
 namespace geacc::io_internal {
 
+using Tokens = std::vector<std::string_view>;
+
 // Tokenizing line reader that tracks line numbers for diagnostics.
 class LineReader {
  public:
   explicit LineReader(std::istream& is) : is_(is) {}
 
-  // Next non-empty, non-comment ('#') line split on whitespace; empty
-  // vector at EOF.
-  std::vector<std::string> NextTokens() {
-    std::string line;
-    while (std::getline(is_, line)) {
+  // Next non-empty, non-comment ('#') line split on whitespace; empty at
+  // EOF. The tokens view a buffer the next call overwrites.
+  const Tokens& NextTokens() {
+    while (std::getline(is_, line_)) {
       ++line_number_;
-      const std::string_view trimmed = Trim(line);
+      const std::string_view trimmed = Trim(line_);
       if (trimmed.empty() || trimmed[0] == '#') continue;
-      std::istringstream tokens{std::string(trimmed)};
-      std::vector<std::string> result;
-      std::string token;
-      while (tokens >> token) result.push_back(token);
-      return result;
+      SplitWhitespace(trimmed, &tokens_);
+      return tokens_;
     }
-    return {};
+    tokens_.clear();
+    return tokens_;
   }
 
   int line_number() const { return line_number_; }
 
  private:
   std::istream& is_;
+  std::string line_;
+  Tokens tokens_;
   int line_number_ = 0;
 };
 
@@ -54,8 +55,7 @@ inline bool Fail(std::string* error, const std::string& message) {
 }
 
 // Parses "<keyword> <count>"; returns -1 on mismatch.
-inline int64_t ParseCountLine(const std::vector<std::string>& tokens,
-                              const std::string& keyword) {
+inline int64_t ParseCountLine(const Tokens& tokens, std::string_view keyword) {
   if (tokens.size() != 2 || tokens[0] != keyword) return -1;
   const auto count = ParseInt(tokens[1]);
   if (!count || *count < 0) return -1;

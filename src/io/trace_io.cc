@@ -4,7 +4,6 @@
 #include <cmath>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -19,6 +18,7 @@ using io_internal::At;
 using io_internal::Fail;
 using io_internal::LineReader;
 using io_internal::ParseCountLine;
+using io_internal::Tokens;
 
 // Upper bound on speculative reserve() from untrusted count lines: a
 // garbage count must not become a multi-GiB allocation before the first
@@ -27,8 +27,7 @@ constexpr int64_t kMaxSpeculativeReserve = 1 << 16;
 
 // Parses the tokens after the keyword of an add_user/add_event line:
 // "<capacity> <attr...>" with exactly `dim` attributes.
-bool ParseAddOperands(const std::vector<std::string>& tokens, int dim,
-                      Mutation& mutation) {
+bool ParseAddOperands(const Tokens& tokens, int dim, Mutation& mutation) {
   if (dim < 0 || tokens.size() != static_cast<size_t>(dim) + 2) return false;
   const auto capacity = ParseInt(tokens[1]);
   if (!capacity || *capacity < 1) return false;
@@ -36,8 +35,8 @@ bool ParseAddOperands(const std::vector<std::string>& tokens, int dim,
   mutation.attributes.resize(dim);
   for (int j = 0; j < dim; ++j) {
     const auto value = ParseDouble(tokens[2 + j]);
-    // Reject "nan"/"inf" (strtod accepts both): these lines come from the
-    // wire and the WAL, and a NaN attribute poisons every similarity.
+    // Reject "nan"/"inf" (ParseDouble accepts both): these lines come from
+    // the wire and the WAL, and a NaN attribute poisons every similarity.
     if (!value || !std::isfinite(*value)) return false;
     mutation.attributes[j] = *value;
   }
@@ -46,8 +45,7 @@ bool ParseAddOperands(const std::vector<std::string>& tokens, int dim,
 
 // Parses "<keyword> <id>" or "<keyword> <a> <b>" operand lists of
 // non-negative integers into `out` (size names the arity).
-bool ParseIntOperands(const std::vector<std::string>& tokens,
-                      std::vector<int64_t>& out) {
+bool ParseIntOperands(const Tokens& tokens, std::vector<int64_t>& out) {
   if (tokens.size() != out.size() + 1) return false;
   for (size_t i = 0; i < out.size(); ++i) {
     const auto value = ParseInt(tokens[1 + i]);
@@ -59,13 +57,13 @@ bool ParseIntOperands(const std::vector<std::string>& tokens,
 
 // Shared core of ParseMutationLine and the trace reader: decodes one
 // tokenized mutation line, or returns nullopt with a reason.
-std::optional<Mutation> ParseMutationTokens(
-    const std::vector<std::string>& tokens, int dim, std::string* error) {
+std::optional<Mutation> ParseMutationTokens(const Tokens& tokens, int dim,
+                                            std::string* error) {
   if (tokens.empty()) {
     Fail(error, "empty mutation line");
     return std::nullopt;
   }
-  const std::string& keyword = tokens[0];
+  const std::string_view keyword = tokens[0];
   Mutation mutation;
   bool ok = false;
   if (keyword == "add_user" || keyword == "add_event") {
@@ -123,11 +121,11 @@ std::optional<Mutation> ParseMutationTokens(
       }
     }
   } else {
-    Fail(error, "unknown mutation '" + keyword + "'");
+    Fail(error, "unknown mutation '" + std::string(keyword) + "'");
     return std::nullopt;
   }
   if (!ok) {
-    Fail(error, "malformed '" + keyword + "' mutation");
+    Fail(error, "malformed '" + std::string(keyword) + "' mutation");
     return std::nullopt;
   }
   return mutation;
@@ -135,67 +133,73 @@ std::optional<Mutation> ParseMutationTokens(
 
 }  // namespace
 
-void WriteMutationLine(const Mutation& mutation, std::ostream& os) {
-  os << MutationKindName(mutation.kind);
+void AppendMutationLine(const Mutation& mutation, std::string* out) {
+  out->append(MutationKindName(mutation.kind));
+  const auto append_ints = [out](int64_t a, int64_t b) {
+    out->push_back(' ');
+    AppendInt(out, a);
+    out->push_back(' ');
+    AppendInt(out, b);
+  };
   switch (mutation.kind) {
     case Mutation::Kind::kAddUser:
     case Mutation::Kind::kAddEvent:
-      os << " " << mutation.capacity;
+      out->push_back(' ');
+      AppendInt(out, mutation.capacity);
       for (const double x : mutation.attributes) {
-        os << " " << StrFormat("%.17g", x);
+        out->push_back(' ');
+        AppendDouble(out, x);
       }
       break;
     case Mutation::Kind::kRemoveUser:
     case Mutation::Kind::kRemoveEvent:
-      os << " " << mutation.id;
+      out->push_back(' ');
+      AppendInt(out, mutation.id);
       break;
     case Mutation::Kind::kAddConflict:
-      os << " " << mutation.id << " " << mutation.other;
+    case Mutation::Kind::kSetEventSlot:
+      append_ints(mutation.id, mutation.other);
       break;
     case Mutation::Kind::kSetEventCapacity:
     case Mutation::Kind::kSetUserCapacity:
-      os << " " << mutation.id << " " << mutation.capacity;
-      break;
-    case Mutation::Kind::kSetEventSlot:
-      os << " " << mutation.id << " " << mutation.other;
+      append_ints(mutation.id, mutation.capacity);
       break;
     case Mutation::Kind::kSetUserAvailability:
-      os << " " << mutation.id << " " << mutation.mask;
+      append_ints(mutation.id, mutation.mask);
       break;
   }
-  os << "\n";
 }
 
 std::string FormatMutationLine(const Mutation& mutation) {
-  std::ostringstream os;
-  WriteMutationLine(mutation, os);
-  std::string line = os.str();
-  if (!line.empty() && line.back() == '\n') line.pop_back();
+  std::string line;
+  AppendMutationLine(mutation, &line);
   return line;
 }
 
-std::optional<Mutation> ParseMutationLine(const std::string& line, int dim,
+std::optional<Mutation> ParseMutationLine(std::string_view line, int dim,
                                           std::string* error) {
-  std::istringstream tokens{line};
-  std::vector<std::string> result;
-  std::string token;
-  while (tokens >> token) result.push_back(std::move(token));
-  return ParseMutationTokens(result, dim, error);
+  Tokens tokens;
+  SplitWhitespace(line, &tokens);
+  return ParseMutationTokens(tokens, dim, error);
 }
 
 void WriteTrace(const MutationTrace& trace, std::ostream& os) {
   os << "geacc-trace v1\n";
   WriteInstance(trace.initial, os);
   os << "mutations " << trace.mutations.size() << "\n";
+  std::string line;
   for (const Mutation& mutation : trace.mutations) {
-    WriteMutationLine(mutation, os);
+    line.clear();
+    AppendMutationLine(mutation, &line);
+    line.push_back('\n');
+    os << line;
   }
 }
 
 std::optional<MutationTrace> ReadTrace(std::istream& is, std::string* error) {
   {
     LineReader header(is);
-    const auto tokens = header.NextTokens();
+    const Tokens& tokens = header.NextTokens();
     if (tokens.size() != 2 || tokens[0] != "geacc-trace" ||
         tokens[1] != "v1") {
       Fail(error, At(header, "expected header 'geacc-trace v1'"));
@@ -223,7 +227,7 @@ std::optional<MutationTrace> ReadTrace(std::istream& is, std::string* error) {
   trace.mutations.reserve(static_cast<size_t>(
       std::min(num_mutations, kMaxSpeculativeReserve)));
   for (int64_t i = 0; i < num_mutations; ++i) {
-    const auto tokens = reader.NextTokens();
+    const Tokens& tokens = reader.NextTokens();
     if (tokens.empty()) {
       Fail(error, At(reader, "unexpected end of mutation list"));
       return std::nullopt;

@@ -18,13 +18,14 @@
 //   set_event_slot <event> <slot>
 //   set_user_availability <user> <mask>
 //
-// Attributes round-trip bit-exactly (%.17g, as instance_io). The reader
-// validates structure only (kinds, arity, numeric ranges ≥ 0, capacities
-// ≥ 1, attribute arity = dim, slot ids < kMaxTimeSlots, availability
-// masks in [0, 2^kMaxTimeSlots)); whether an id is alive at its epoch is
-// a replay-time property checked by DynamicInstance. Like the other
-// readers, malformed input returns std::nullopt with a diagnostic rather
-// than aborting.
+// Attributes round-trip bit-exactly, subnormals included, through the
+// shared number codec (AppendDouble/ParseDouble, util/string_util.h), as
+// in instance_io. The reader validates structure only (kinds, arity,
+// numeric ranges ≥ 0, capacities ≥ 1, attribute arity = dim, slot ids <
+// kMaxTimeSlots, availability masks in [0, 2^kMaxTimeSlots)); whether an
+// id is alive at its epoch is a replay-time property checked by
+// DynamicInstance. Like the other readers, malformed input returns
+// std::nullopt with a diagnostic rather than aborting.
 
 #ifndef GEACC_IO_TRACE_IO_H_
 #define GEACC_IO_TRACE_IO_H_
@@ -32,6 +33,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "dyn/mutation.h"
 
@@ -44,12 +46,14 @@ namespace geacc {
 // service WAL (svc/wal.h), and the wire protocol's kMutate payload
 // (svc/wire.h) — one parser, one error discipline.
 
-void WriteMutationLine(const Mutation& mutation, std::ostream& os);
+// AppendMutationLine appends the line, without its newline, to `out`
+// (writers reuse one buffer across lines); FormatMutationLine returns it.
+void AppendMutationLine(const Mutation& mutation, std::string* out);
 std::string FormatMutationLine(const Mutation& mutation);
 
 // Parses one mutation line (sans newline) against attribute dimension
 // `dim`. Returns nullopt with a reason on malformed input.
-std::optional<Mutation> ParseMutationLine(const std::string& line, int dim,
+std::optional<Mutation> ParseMutationLine(std::string_view line, int dim,
                                           std::string* error = nullptr);
 
 // ----- traces -----

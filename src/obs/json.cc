@@ -5,7 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <limits>
+
+#include "util/string_util.h"
 
 namespace geacc::obs {
 namespace {
@@ -49,21 +50,17 @@ void AppendEscaped(std::string& out, const std::string& text) {
   out.push_back('"');
 }
 
-void AppendDouble(std::string& out, double value) {
+void AppendJsonDouble(std::string& out, double value) {
   if (!std::isfinite(value)) {
     // JSON has no Inf/NaN; null is the conventional stand-in.
     out += "null";
     return;
   }
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.*g",
-                std::numeric_limits<double>::max_digits10, value);
-  out += buffer;
+  // max_digits10 (17) significant digits, as every persistence format.
+  const size_t start = out.size();
+  AppendDouble(&out, value);
   // Keep the value recognizably floating-point after a round trip.
-  if (out.find_first_of(".eE", out.size() - std::strlen(buffer)) ==
-      std::string::npos) {
-    out += ".0";
-  }
+  if (out.find_first_of(".eE", start) == std::string::npos) out += ".0";
 }
 
 void AppendNewlineIndent(std::string& out, int indent, int depth) {
@@ -382,7 +379,7 @@ void JsonValue::DumpTo(std::string& out, int indent, int depth) const {
       out += std::to_string(int_);
       return;
     case Type::kDouble:
-      AppendDouble(out, double_);
+      AppendJsonDouble(out, double_);
       return;
     case Type::kString:
       AppendEscaped(out, string_);

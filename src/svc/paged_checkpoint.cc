@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstring>
-#include <sstream>
+#include <initializer_list>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -13,22 +14,57 @@
 namespace geacc::svc {
 namespace {
 
-void AppendAttributeRow(std::string* out, const AttributeMatrix& matrix,
-                        int row) {
-  const double* values = matrix.Row(row);
-  for (int j = 0; j < matrix.dim(); ++j) {
-    out->append(StrFormat(" %.17g", values[j]));
+using Tokens = std::vector<std::string_view>;
+
+// Appends " <value>" per value.
+void AppendFields(std::string* out, std::initializer_list<int64_t> values) {
+  for (const int64_t value : values) {
+    out->push_back(' ');
+    AppendInt(out, value);
   }
 }
 
-// Line-oriented decoder state: strict, position-independent errors.
+// Appends the line "<keyword> <values...>".
+void AppendLine(std::string* out, std::string_view keyword,
+                std::initializer_list<int64_t> values) {
+  out->append(keyword);
+  AppendFields(out, values);
+  out->push_back('\n');
+}
+
+// Appends the line "<keyword> <count> <values...>".
+template <typename Int>
+void AppendCountedLine(std::string* out, std::string_view keyword,
+                       const std::vector<Int>& values) {
+  out->append(keyword);
+  AppendFields(out, {static_cast<int64_t>(values.size())});
+  for (const Int value : values) AppendFields(out, {value});
+  out->push_back('\n');
+}
+
+// Appends the line "<keyword> <capacity> <active> <attributes...>" of
+// entity slot `row`.
+void AppendSlotLine(std::string* out, std::string_view keyword, int capacity,
+                    uint8_t active, const AttributeMatrix& matrix, int row) {
+  out->append(keyword);
+  AppendFields(out, {capacity, active});
+  const double* values = matrix.Row(row);
+  for (int j = 0; j < matrix.dim(); ++j) {
+    out->push_back(' ');
+    AppendDouble(out, values[j]);
+  }
+  out->push_back('\n');
+}
+
+// Line-oriented decoder over the encoded text (viewed, not copied):
+// strict, position-independent errors.
 struct Decoder {
-  std::istringstream in;
+  std::string_view rest;
   int line_number = 0;
   std::string* error;
 
-  Decoder(const std::string& text, std::string* error)
-      : in(text), error(error) {}
+  Decoder(std::string_view text, std::string* error)
+      : rest(text), error(error) {}
 
   bool Fail(const std::string& message) {
     if (error != nullptr) {
@@ -38,20 +74,18 @@ struct Decoder {
     return false;
   }
 
-  bool NextTokens(std::vector<std::string>* tokens) {
-    std::string line;
-    if (!std::getline(in, line)) return Fail("unexpected end of state");
+  bool NextTokens(Tokens* tokens) {
+    if (rest.empty()) return Fail("unexpected end of state");
+    const size_t end = std::min(rest.find('\n'), rest.size());
+    SplitWhitespace(rest.substr(0, end), tokens);
+    rest.remove_prefix(std::min(end + 1, rest.size()));
     ++line_number;
-    tokens->clear();
-    for (std::string& token : Split(line, ' ')) {
-      if (!token.empty()) tokens->push_back(std::move(token));
-    }
     return true;
   }
 };
 
-bool ParseIdList(Decoder& decoder, const std::vector<std::string>& tokens,
-                 const char* keyword, std::vector<int32_t>* out) {
+bool ParseIdList(Decoder& decoder, const Tokens& tokens, const char* keyword,
+                 std::vector<int32_t>* out) {
   if (tokens.size() < 2 || tokens[0] != keyword) {
     return decoder.Fail(StrFormat("expected '%s <count> <ids...>'", keyword));
   }
@@ -69,7 +103,7 @@ bool ParseIdList(Decoder& decoder, const std::vector<std::string>& tokens,
   return true;
 }
 
-bool ParseHexBits(const std::string& token, uint64_t* out) {
+bool ParseHexBits(std::string_view token, uint64_t* out) {
   if (token.empty() || token.size() > 16) return false;
   uint64_t value = 0;
   for (const char c : token) {
@@ -96,57 +130,41 @@ std::string EncodeServiceState(const ServiceState& state) {
               static_cast<size_t>(slot.event_attributes.rows() +
                                   slot.user_attributes.rows()) *
                   (static_cast<size_t>(slot.dim) + 2) * 26);
-  out += "geacc-svc-state v1\n";
-  out += StrFormat("similarity %s %.17g\n", state.similarity_name.c_str(),
-                   state.similarity_param);
-  out += StrFormat("dim %d\n", slot.dim);
-  out += StrFormat("epoch %lld\n", static_cast<long long>(slot.epoch));
-  out += StrFormat("event_slots %d\n", slot.event_attributes.rows());
+  out += "geacc-svc-state v1\nsimilarity ";
+  out += state.similarity_name;
+  out += ' ';
+  AppendDouble(&out, state.similarity_param);
+  out += '\n';
+  AppendLine(&out, "dim", {slot.dim});
+  AppendLine(&out, "epoch", {slot.epoch});
+  AppendLine(&out, "event_slots", {slot.event_attributes.rows()});
   for (int v = 0; v < slot.event_attributes.rows(); ++v) {
-    out += StrFormat("event %d %d", slot.event_capacities[v],
-                     static_cast<int>(slot.event_active[v]));
-    AppendAttributeRow(&out, slot.event_attributes, v);
-    out += "\n";
+    AppendSlotLine(&out, "event", slot.event_capacities[v],
+                   slot.event_active[v], slot.event_attributes, v);
   }
-  out += StrFormat("user_slots %d\n", slot.user_attributes.rows());
+  AppendLine(&out, "user_slots", {slot.user_attributes.rows()});
   for (int u = 0; u < slot.user_attributes.rows(); ++u) {
-    out += StrFormat("user %d %d", slot.user_capacities[u],
-                     static_cast<int>(slot.user_active[u]));
-    AppendAttributeRow(&out, slot.user_attributes, u);
-    out += "\n";
+    AppendSlotLine(&out, "user", slot.user_capacities[u],
+                   slot.user_active[u], slot.user_attributes, u);
   }
-  out += StrFormat("conflicts %d\n", static_cast<int>(slot.conflicts.size()));
+  AppendLine(&out, "conflicts", {static_cast<int64_t>(slot.conflicts.size())});
   for (const auto& [a, b] : slot.conflicts) {
-    out += StrFormat("conflict %d %d\n", a, b);
+    AppendLine(&out, "conflict", {a, b});
   }
   // Time-slot annotations are emitted only when present (ExportSlotState
   // leaves both vectors empty until the first slot mutation), so pre-slot
   // checkpoints stay byte-identical to the original format.
   if (!slot.event_time_slots.empty() || !slot.user_availability.empty()) {
-    out += StrFormat("event_time_slots %d",
-                     static_cast<int>(slot.event_time_slots.size()));
-    for (const SlotId s : slot.event_time_slots) {
-      out += StrFormat(" %d", s);
-    }
-    out += "\n";
-    out += StrFormat("user_availability %d",
-                     static_cast<int>(slot.user_availability.size()));
-    for (const int64_t mask : slot.user_availability) {
-      out += StrFormat(" %lld", static_cast<long long>(mask));
-    }
-    out += "\n";
+    AppendCountedLine(&out, "event_time_slots", slot.event_time_slots);
+    AppendCountedLine(&out, "user_availability", slot.user_availability);
   }
   const IncrementalArranger::ArrangerState& arranger = state.arranger;
   out += "arranger\n";
   for (const std::vector<EventId>& events : arranger.user_events) {
-    out += StrFormat("ue %d", static_cast<int>(events.size()));
-    for (const EventId v : events) out += StrFormat(" %d", v);
-    out += "\n";
+    AppendCountedLine(&out, "ue", events);
   }
   for (const std::vector<UserId>& users : arranger.event_users) {
-    out += StrFormat("eu %d", static_cast<int>(users.size()));
-    for (const UserId u : users) out += StrFormat(" %d", u);
-    out += "\n";
+    AppendCountedLine(&out, "eu", users);
   }
   out += StrFormat("max_sum_bits %016" PRIx64 "\n", arranger.max_sum_bits);
   out += StrFormat("drift_bits %016" PRIx64 "\n", arranger.drift_bits);
@@ -157,7 +175,7 @@ std::string EncodeServiceState(const ServiceState& state) {
 bool DecodeServiceState(const std::string& text, ServiceState* state,
                         std::string* error) {
   Decoder decoder(text, error);
-  std::vector<std::string> tokens;
+  Tokens tokens;
 
   if (!decoder.NextTokens(&tokens)) return false;
   if (tokens.size() != 2 || tokens[0] != "geacc-svc-state" ||
@@ -168,7 +186,7 @@ bool DecodeServiceState(const std::string& text, ServiceState* state,
   if (tokens.size() != 3 || tokens[0] != "similarity") {
     return decoder.Fail("expected 'similarity <name> <param>'");
   }
-  state->similarity_name = tokens[1];
+  state->similarity_name = std::string(tokens[1]);
   const auto param = ParseDouble(tokens[2]);
   if (!param) return decoder.Fail("bad similarity parameter");
   state->similarity_param = *param;
@@ -179,7 +197,9 @@ bool DecodeServiceState(const std::string& text, ServiceState* state,
     return decoder.Fail("expected 'dim <d>'");
   }
   const auto dim = ParseInt(tokens[1]);
-  if (!dim || *dim < 0) return decoder.Fail("bad dimension");
+  if (!dim || *dim < 0 || *dim > INT32_MAX) {
+    return decoder.Fail("bad dimension");
+  }
   slot.dim = static_cast<int>(*dim);
 
   if (!decoder.NextTokens(&tokens)) return false;
@@ -202,7 +222,7 @@ bool DecodeServiceState(const std::string& text, ServiceState* state,
         *matrix = AttributeMatrix(0, slot.dim);
         capacities->clear();
         active->clear();
-        std::vector<double> row(slot.dim);
+        std::vector<double> row;
         for (int64_t i = 0; i < *count; ++i) {
           if (!decoder.NextTokens(&tokens)) return false;
           if (tokens.size() != static_cast<size_t>(slot.dim) + 3 ||
@@ -217,6 +237,7 @@ bool DecodeServiceState(const std::string& text, ServiceState* state,
               (*is_active != 0 && *is_active != 1)) {
             return decoder.Fail("bad capacity/active flag");
           }
+          row.resize(slot.dim);  // sized only once a line has the tokens
           for (int j = 0; j < slot.dim; ++j) {
             const auto value = ParseDouble(tokens[3 + j]);
             if (!value) return decoder.Fail("bad attribute");

@@ -42,9 +42,11 @@ struct ServiceState {
   IncrementalArranger::ArrangerState arranger;
 };
 
-// Text serialization (the %.17g / hex-bits conventions of src/io, so the
-// round trip is exact). Deliberately separate from the page layer: the
-// encoding is testable without a file, and the store treats it as bytes.
+// Text serialization with the number codec of src/io (AppendDouble /
+// ParseDouble in util/string_util.h, the bytes of "%.17g") plus hex bit
+// patterns for the sums, so the round trip is exact, subnormals included.
+// Deliberately separate from the page layer: the encoding is testable
+// without a file, and the store treats it as bytes.
 std::string EncodeServiceState(const ServiceState& state);
 bool DecodeServiceState(const std::string& text, ServiceState* state,
                         std::string* error);

@@ -482,8 +482,9 @@ void ArrangementService::ApplyBatch(std::vector<PendingMutation> batch) {
   applied_cv_.notify_all();
 
   // Checkpoint after publishing so readers never wait on checkpoint IO.
-  // The WAL batch above is already durable, so a crash mid-checkpoint
-  // loses nothing.
+  // The WAL batch above is already flushed to the OS, so a process crash
+  // mid-checkpoint loses nothing. It is not fsync'd (WalWriter::Sync), so
+  // a power loss still can.
   if (paged_checkpoint_ != nullptr &&
       ++batches_since_checkpoint_ >= options_.checkpoint_interval_batches) {
     WritePagedCheckpoint();

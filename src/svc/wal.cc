@@ -12,6 +12,7 @@ namespace {
 
 using io_internal::Fail;
 using io_internal::LineReader;
+using io_internal::Tokens;
 
 constexpr char kWalHeader[] = "geacc-svc-wal";
 constexpr char kWalSentinel[] = "wal-mutations";
@@ -42,7 +43,10 @@ bool WalWriter::OpenForAppend(const std::string& path, std::string* error) {
 
 bool WalWriter::Append(const Mutation& mutation) {
   if (!out_.is_open()) return false;
-  WriteMutationLine(mutation, out_);
+  line_.clear();
+  AppendMutationLine(mutation, &line_);
+  line_.push_back('\n');
+  out_ << line_;
   return static_cast<bool>(out_);
 }
 
@@ -69,7 +73,7 @@ std::optional<WalContents> ReadWal(const std::string& path,
 
   {
     LineReader header(is);
-    const auto tokens = header.NextTokens();
+    const Tokens& tokens = header.NextTokens();
     if (tokens.size() != 2 || tokens[0] != kWalHeader || tokens[1] != "v1") {
       Fail(error, "expected header 'geacc-svc-wal v1'");
       return std::nullopt;
@@ -86,7 +90,7 @@ std::optional<WalContents> ReadWal(const std::string& path,
 
   {
     LineReader sentinel(is);
-    const auto tokens = sentinel.NextTokens();
+    const Tokens& tokens = sentinel.NextTokens();
     // A sentinel without its newline was torn while the WAL was being
     // created, like any other cut in the header region: appending after
     // it would fuse the first mutation onto it.
@@ -125,7 +129,7 @@ std::optional<WalContents> ReadWal(const std::string& path,
     if (!trimmed.empty() && trimmed[0] != '#') {
       std::string mutation_error;
       std::optional<Mutation> mutation =
-          ParseMutationLine(std::string(trimmed), dim, &mutation_error);
+          ParseMutationLine(trimmed, dim, &mutation_error);
       if (!mutation) {
         pending = true;
         pending_error = mutation_error;

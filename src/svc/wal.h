@@ -62,6 +62,7 @@ class WalWriter {
 
  private:
   std::ofstream out_;
+  std::string line_;  // Append's reused encode buffer
 };
 
 // A decoded WAL: the epoch-0 instance plus every durably applied mutation.

@@ -1,13 +1,30 @@
 #include "util/string_util.h"
 
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <system_error>
 
 namespace geacc {
+namespace {
+
+// ASCII whitespace, as isspace() in the "C" locale.
+bool IsSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+// The whole trimmed `text` must parse as one T.
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text) {
+  text = Trim(text);
+  const char* const end = text.data() + text.size();
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+}  // namespace
 
 std::vector<std::string> Split(std::string_view text, char sep) {
   std::vector<std::string> parts;
@@ -24,47 +41,57 @@ std::vector<std::string> Split(std::string_view text, char sep) {
   return parts;
 }
 
+void SplitWhitespace(std::string_view text,
+                     std::vector<std::string_view>* tokens) {
+  tokens->clear();
+  size_t pos = 0;
+  while (true) {
+    while (pos < text.size() && IsSpace(text[pos])) ++pos;
+    if (pos == text.size()) return;
+    const size_t begin = pos;
+    while (pos < text.size() && !IsSpace(text[pos])) ++pos;
+    tokens->push_back(text.substr(begin, pos - begin));
+  }
+}
+
 std::string_view Trim(std::string_view text) {
   size_t begin = 0;
-  while (begin < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
+  while (begin < text.size() && IsSpace(text[begin])) ++begin;
   size_t end = text.size();
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
+  while (end > begin && IsSpace(text[end - 1])) --end;
   return text.substr(begin, end - begin);
 }
 
 std::optional<int64_t> ParseInt(std::string_view text) {
-  const std::string buf(Trim(text));
-  if (buf.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return std::nullopt;
-  return static_cast<int64_t>(value);
+  return ParseNumber<int64_t>(text);
 }
 
 std::optional<double> ParseDouble(std::string_view text) {
-  const std::string buf(Trim(text));
-  if (buf.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return std::nullopt;
-  return value;
+  return ParseNumber<double>(text);
 }
 
 std::optional<bool> ParseBool(std::string_view text) {
-  const std::string buf(Trim(text));
+  const std::string_view buf = Trim(text);
   if (buf == "true" || buf == "1" || buf == "yes" || buf == "on") return true;
   if (buf == "false" || buf == "0" || buf == "no" || buf == "off") {
     return false;
   }
   return std::nullopt;
+}
+
+void AppendDouble(std::string* out, double value) {
+  // The standard defines to_chars(general, precision) to print what printf
+  // prints for "%.*g"; at most 24 characters for a double.
+  char buffer[32];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                    std::chars_format::general, 17);
+  out->append(buffer, result.ptr);
+}
+
+void AppendInt(std::string* out, int64_t value) {
+  char buffer[24];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out->append(buffer, result.ptr);
 }
 
 std::string StrFormat(const char* format, ...) {

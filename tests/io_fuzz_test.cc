@@ -4,13 +4,18 @@
 // input must come back as nullopt + diagnostic, never a crash, hang, or
 // huge speculative allocation.
 
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/similarity.h"
 #include "gen/synthetic.h"
 #include "gen/trace_gen.h"
 #include "io/instance_io.h"
@@ -137,6 +142,12 @@ TEST(IoFuzz, InstanceStructuralGarbageIsRejected) {
       "geacc-instance v1\nsimilarity euclidean 10000\ndim 3\n"
       "events 1\nevent nan 1.0 2.0 3.0\n",
       "non-numeric capacity");
+  // A dimension past INT32_MAX is rejected, not wrapped to -1 (which
+  // aborts in AttributeMatrix when both sides are empty).
+  ExpectInstanceRejected(
+      "geacc-instance v1\nsimilarity euclidean 10000\ndim 4294967295\n"
+      "events 0\nusers 0\nconflicts 0\n",
+      "dimension overflows int");
 }
 
 TEST(IoFuzz, ArrangementGarbageIsRejected) {
@@ -228,6 +239,8 @@ TEST(IoFuzz, MutationLineParserRejectsMalformedLines) {
       "set_user_capacity x 1",
       "frobnicate 1 2",
       "add_user 2 1e999 2 3",  // overflow double
+      "add_user 2 +1.5 2.5 3.5",  // no writer emits a leading '+'
+      "add_user 2 0x1p3 2.5 3.5",  // nor a hex float
   };
   for (const char* line : bad) {
     EXPECT_FALSE(ParseMutationLine(line, 3, &error).has_value())
@@ -240,6 +253,120 @@ TEST(IoFuzz, MutationLineParserRejectsMalformedLines) {
     std::string line(static_cast<size_t>(rng.UniformInt(0, 80)), '\0');
     for (char& c : line) c = static_cast<char>(rng.UniformInt(1, 255));
     (void)ParseMutationLine(line, 3, &error);  // must not crash
+  }
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// Finite attribute values at the edges of the codec, subnormals first:
+// the writers emit them, and a strtod-based reader rejects a subnormal
+// (ERANGE).
+std::vector<double> EdgeAttributes() {
+  using limits = std::numeric_limits<double>;
+  const double two53 = 9007199254740992.0;
+  std::vector<double> values = {1e-310,
+                                limits::denorm_min(),
+                                std::nextafter(DBL_MIN, 0.0),
+                                DBL_MIN,
+                                DBL_MAX,
+                                0.0,
+                                two53 - 1,
+                                two53,
+                                two53 + 2,
+                                1e-5,
+                                std::nextafter(1e-5, 0.0),
+                                1e16,
+                                1e17,
+                                0.1};
+  const size_t positive = values.size();
+  for (size_t i = 0; i < positive; ++i) values.push_back(-values[i]);
+  return values;
+}
+
+TEST(IoFuzz, MutationLineRoundTripsEdgeAttributeBits) {
+  const std::vector<double> values = EdgeAttributes();
+  for (const Mutation& mutation : {Mutation::AddUser(values, 2),
+                                   Mutation::AddEvent(values, 7)}) {
+    const std::string line = FormatMutationLine(mutation);
+    std::string error;
+    const std::optional<Mutation> parsed =
+        ParseMutationLine(line, static_cast<int>(values.size()), &error);
+    ASSERT_TRUE(parsed.has_value()) << error << ": " << line;
+    EXPECT_EQ(parsed->kind, mutation.kind);
+    EXPECT_EQ(parsed->capacity, mutation.capacity);
+    ASSERT_EQ(parsed->attributes.size(), values.size());
+    for (size_t j = 0; j < values.size(); ++j) {
+      EXPECT_EQ(Bits(parsed->attributes[j]), Bits(values[j])) << line;
+    }
+  }
+}
+
+// Three events and users of dimension 4 whose attributes walk through
+// EdgeAttributes() minus the ±DBL_MAX pair (keeps distances finite).
+Instance EdgeValueInstance() {
+  std::vector<double> values;
+  for (const double value : EdgeAttributes()) {
+    if (std::fabs(value) != DBL_MAX) values.push_back(value);
+  }
+  const auto rows = [&](size_t first) {
+    std::vector<std::vector<double>> out(3, std::vector<double>(4));
+    for (size_t i = 0; i < 12; ++i) {
+      out[i / 4][i % 4] = values[(first + i) % values.size()];
+    }
+    return out;
+  };
+  ConflictGraph conflicts(3);
+  conflicts.AddConflict(0, 2);
+  return Instance(AttributeMatrix::FromRows(rows(0)), {1, 2, 3},
+                  AttributeMatrix::FromRows(rows(12)), {1, 1, 2},
+                  std::move(conflicts), MakeSimilarity("euclidean", 100.0));
+}
+
+void ExpectSameAttributeBits(const AttributeMatrix& a,
+                             const AttributeMatrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.dim(), b.dim());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < a.dim(); ++j) {
+      EXPECT_EQ(Bits(a.At(i, j)), Bits(b.At(i, j))) << i << "," << j;
+    }
+  }
+}
+
+TEST(IoFuzz, SubnormalAttributesRoundTripThroughInstanceAndTraceFiles) {
+  const Instance instance = EdgeValueInstance();
+  std::ostringstream instance_os;
+  WriteInstance(instance, instance_os);
+  std::istringstream instance_is(instance_os.str());
+  std::string error;
+  const std::optional<Instance> read = ReadInstance(instance_is, &error);
+  ASSERT_TRUE(read.has_value()) << error;
+  ExpectSameAttributeBits(read->event_attributes(),
+                          instance.event_attributes());
+  ExpectSameAttributeBits(read->user_attributes(), instance.user_attributes());
+
+  MutationTrace trace{EdgeValueInstance(),
+                      {Mutation::AddUser({1e-310, -4e-320, 0.5, -0.0}, 2),
+                       Mutation::AddEvent({DBL_MIN, 5e-324, 1e-5, 1e17}, 4)}};
+  std::ostringstream trace_os;
+  WriteTrace(trace, trace_os);
+  std::istringstream trace_is(trace_os.str());
+  const std::optional<MutationTrace> reread = ReadTrace(trace_is, &error);
+  ASSERT_TRUE(reread.has_value()) << error;
+  ExpectSameAttributeBits(reread->initial.user_attributes(),
+                          trace.initial.user_attributes());
+  ASSERT_EQ(reread->mutations.size(), trace.mutations.size());
+  for (size_t i = 0; i < trace.mutations.size(); ++i) {
+    const std::vector<double>& want = trace.mutations[i].attributes;
+    const std::vector<double>& got = reread->mutations[i].attributes;
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(Bits(got[j]), Bits(want[j])) << "mutation " << i;
+    }
   }
 }
 

@@ -5,11 +5,19 @@
 // patterns and repair counters were recorded from the code before these
 // paths shared one admission implementation; any refactor of the
 // admission rule must reproduce them bit for bit.
+//
+// It also pins the bytes of the persistence formats (instance file, WAL,
+// paged-checkpoint encoding) for one seeded trace, recorded from the
+// printf-based writers: a change to the number codec must not change a
+// byte that is already on disk.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,6 +26,10 @@
 #include "dyn/incremental_arranger.h"
 #include "gen/synthetic.h"
 #include "gen/trace_gen.h"
+#include "io/instance_io.h"
+#include "storage/page.h"
+#include "svc/paged_checkpoint.h"
+#include "svc/wal.h"
 
 namespace geacc {
 namespace {
@@ -228,6 +240,85 @@ TEST(PinnedOutputs, IncrementalArrangerTraceReplay) {
     EXPECT_EQ(stats.cursor_steps, pin.cursor_steps) << label;
     EXPECT_EQ(stats.budget_exhausted, pin.budget_exhausted) << label;
     EXPECT_EQ(stats.full_resolves, pin.full_resolves) << label;
+  }
+}
+
+// Byte count and FNV-1a 64 of one persisted output.
+struct PinnedBytes {
+  size_t bytes;
+  uint64_t fnv;
+};
+
+PinnedBytes Fingerprint(const std::string& text) {
+  return {text.size(), storage::Fnv1a64(text.data(), text.size())};
+}
+
+TEST(PinnedOutputs, PersistenceBytes) {
+  TraceGenConfig config;
+  config.initial_events = 8;
+  config.initial_users = 40;
+  config.dim = 4;
+  config.num_mutations = 200;
+  config.seed = 77;
+  MutationTrace trace = GenerateTrace(config);
+
+  DynamicInstance dynamic(trace.initial);
+  IncrementalArranger arranger(&dynamic, RepairOptions{});
+  arranger.FullResolve();
+  for (const Mutation& mutation : trace.mutations) arranger.Apply(mutation);
+  // Two slot mutations on live ids, so the checkpoint carries its
+  // time-slot lines too.
+  EventId event = 0;
+  while (!dynamic.event_active(event)) ++event;
+  UserId user = 0;
+  while (!dynamic.user_active(user)) ++user;
+  for (const Mutation& mutation : {Mutation::SetEventSlot(event, 3),
+                                   Mutation::SetUserAvailability(user, 5)}) {
+    arranger.Apply(mutation);
+    trace.mutations.push_back(mutation);
+  }
+
+  std::ostringstream instance_text;
+  WriteInstance(trace.initial, instance_text);
+
+  const std::string wal_path = testing::TempDir() + "/pinned_bytes.wal";
+  {
+    svc::WalWriter wal;
+    std::string error;
+    ASSERT_TRUE(wal.Open(wal_path, trace.initial, &error)) << error;
+    for (const Mutation& mutation : trace.mutations) {
+      ASSERT_TRUE(wal.Append(mutation));
+    }
+    wal.Close();
+  }
+  std::ifstream wal_file(wal_path, std::ios::binary);
+  const std::string wal_text((std::istreambuf_iterator<char>(wal_file)),
+                             std::istreambuf_iterator<char>());
+  std::remove(wal_path.c_str());
+
+  svc::ServiceState state;
+  state.similarity_name = dynamic.similarity().Name();
+  state.similarity_param = dynamic.similarity().Param();
+  state.slot = dynamic.ExportSlotState();
+  state.arranger = arranger.ExportState();
+
+  const std::string encoded = svc::EncodeServiceState(state);
+  ASSERT_NE(encoded.find("\nevent_time_slots "), std::string::npos);
+
+  const struct {
+    const char* what;
+    PinnedBytes actual;
+    PinnedBytes expected;
+  } pins[] = {
+      {"WriteInstance", Fingerprint(instance_text.str()),
+       {4091, 0xcbe576f2a3e0ada7ULL}},
+      {"WAL", Fingerprint(wal_text), {13624, 0xe5e087a93253735fULL}},
+      {"EncodeServiceState", Fingerprint(encoded),
+       {14248, 0xe652ddaab2fda6e1ULL}},
+  };
+  for (const auto& pin : pins) {
+    EXPECT_EQ(pin.actual.bytes, pin.expected.bytes) << pin.what;
+    EXPECT_EQ(pin.actual.fnv, pin.expected.fnv) << pin.what;
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -506,6 +507,67 @@ TEST(ArrangementService, RecoverDropsTornFinalLineWithoutRewritingTheLog) {
   EXPECT_EQ(SnapshotPairs(*recovered->snapshot()), pairs_before);
   recovered->Stop();
   std::remove(wal_path.c_str());
+}
+
+// Submits add_user {1e-310, 2, 3}, an attribute the service accepts as
+// finite and the WAL writes as a subnormal, then (if `write_after`) one
+// more write, and recovers from the WAL. The acknowledged user must come
+// back with its exact attribute bits, and the log must keep every byte.
+void ExpectSubnormalWriteSurvivesRecovery(const std::string& name,
+                                          bool write_after) {
+  SyntheticConfig config;
+  config.num_events = 5;
+  config.num_users = 20;
+  config.dim = 3;
+  config.seed = 9;
+  ServiceOptions options;
+  options.wal_path = TempPath(name);
+  constexpr double kSubnormal = 1e-310;
+  ASSERT_EQ(std::fpclassify(kSubnormal), FP_SUBNORMAL);
+
+  std::vector<std::pair<UserId, EventId>> pairs_before;
+  double max_sum_before = 0.0;
+  {
+    ArrangementService service(GenerateSynthetic(config), options);
+    SubmitResult r =
+        service.Submit(Mutation::AddUser({kSubnormal, 2.0, 3.0}, 2));
+    ASSERT_EQ(service.WaitForTicket(r.ticket), SvcStatus::kOk);
+    if (write_after) {
+      r = service.Submit(Mutation::SetUserCapacity(0, 3));
+      ASSERT_EQ(service.WaitForTicket(r.ticket), SvcStatus::kOk);
+    }
+    const auto snapshot = service.snapshot();
+    ASSERT_EQ(snapshot->num_active_users(), 21);
+    pairs_before = SnapshotPairs(*snapshot);
+    max_sum_before = snapshot->max_sum();
+  }
+  const uintmax_t wal_bytes = std::filesystem::file_size(options.wal_path);
+
+  std::string error;
+  std::unique_ptr<ArrangementService> recovered =
+      ArrangementService::Recover(options, &error);
+  ASSERT_NE(recovered, nullptr) << error;
+  const auto snapshot = recovered->snapshot();
+  EXPECT_EQ(snapshot->num_active_users(), 21);
+  EXPECT_EQ(SnapshotPairs(*snapshot), pairs_before);
+  EXPECT_EQ(snapshot->max_sum(), max_sum_before);
+  std::vector<UserId> dense_to_user;
+  const Instance dense = snapshot->ToDenseInstance(nullptr, &dense_to_user);
+  ASSERT_EQ(dense_to_user.back(), 20);
+  EXPECT_EQ(dense.user_attributes().At(dense.num_users() - 1, 0), kSubnormal);
+  EXPECT_EQ(std::filesystem::file_size(options.wal_path), wal_bytes);
+  recovered->Stop();
+  std::remove(options.wal_path.c_str());
+}
+
+TEST(ArrangementService, RecoverKeepsASubnormalAttributeBeforeLaterWrites) {
+  ExpectSubnormalWriteSurvivesRecovery("svc_subnormal_mid.wal",
+                                       /*write_after=*/true);
+}
+
+TEST(ArrangementService, RecoverKeepsASubnormalAttributeInTheFinalWrite) {
+  ExpectSubnormalWriteSurvivesRecovery("svc_subnormal_last.wal",
+                                       /*write_after=*/false);
 }
 
 TEST(ArrangementService, CheckpointRoundTrips) {

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -112,6 +115,22 @@ TEST(ServiceStateEncoding, RoundTripsExactly) {
   EXPECT_EQ(EncodeServiceState(decoded), encoded);
 }
 
+TEST(ServiceStateEncoding, RoundTripsSubnormalAttributes) {
+  // The encoder writes subnormals; a decoder that rejects them (strtod
+  // reports ERANGE) makes the whole checkpoint unusable.
+  ServiceState state = MakeState(4, 3, 5);
+  state.slot.user_attributes.Set(0, 0, 1e-310);
+  state.slot.user_attributes.Set(1, 1,
+                                 -std::numeric_limits<double>::denorm_min());
+  state.slot.event_attributes.Set(2, 0, std::nextafter(DBL_MIN, 0.0));
+  const std::string encoded = EncodeServiceState(state);
+  ServiceState decoded;
+  std::string error;
+  ASSERT_TRUE(DecodeServiceState(encoded, &decoded, &error)) << error;
+  ExpectStatesEqual(state, decoded);
+  EXPECT_EQ(EncodeServiceState(decoded), encoded);
+}
+
 TEST(ServiceStateEncoding, RejectsMalformedText) {
   const ServiceState state = MakeState(4, 3, 1);
   const std::string encoded = EncodeServiceState(state);
@@ -125,6 +144,13 @@ TEST(ServiceStateEncoding, RejectsMalformedText) {
   // Missing the end marker.
   std::string no_end = encoded.substr(0, encoded.rfind("end"));
   EXPECT_FALSE(DecodeServiceState(no_end, &decoded, &error));
+  // A dimension past INT32_MAX is rejected, not wrapped negative (which
+  // aborts in AttributeMatrix).
+  EXPECT_FALSE(DecodeServiceState(
+      "geacc-svc-state v1\nsimilarity euclidean 1\ndim 4294967295\n"
+      "epoch 0\nevent_slots 0\nuser_slots 0\nconflicts 0\narranger\n"
+      "max_sum_bits 0000000000000000\ndrift_bits 0000000000000000\nend\n",
+      &decoded, &error));
 }
 
 TEST(PagedCheckpointStore, WriteReadRoundTrip) {

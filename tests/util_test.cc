@@ -3,8 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/check.h"
 #include "util/flags.h"
@@ -116,18 +123,112 @@ TEST(StringUtil, Trim) {
   EXPECT_EQ(Trim("\t a b \n"), "a b");
 }
 
+TEST(StringUtil, SplitWhitespace) {
+  std::vector<std::string_view> tokens = {"stale"};
+  SplitWhitespace("  add_user\t2  1.5\r\n", &tokens);
+  EXPECT_EQ(tokens, (std::vector<std::string_view>{"add_user", "2", "1.5"}));
+  SplitWhitespace(" \t ", &tokens);
+  EXPECT_TRUE(tokens.empty());
+  SplitWhitespace("x", &tokens);
+  EXPECT_EQ(tokens, (std::vector<std::string_view>{"x"}));
+}
+
 TEST(StringUtil, ParseInt) {
   EXPECT_EQ(ParseInt("42"), 42);
   EXPECT_EQ(ParseInt(" -7 "), -7);
+  EXPECT_EQ(ParseInt("-9223372036854775808"), INT64_MIN);
+  EXPECT_FALSE(ParseInt("9223372036854775808").has_value());
   EXPECT_FALSE(ParseInt("4x").has_value());
   EXPECT_FALSE(ParseInt("").has_value());
   EXPECT_FALSE(ParseInt("3.5").has_value());
+  // No writer emits a leading '+'.
+  EXPECT_FALSE(ParseInt("+5").has_value());
 }
 
 TEST(StringUtil, ParseDouble) {
   EXPECT_DOUBLE_EQ(*ParseDouble("3.5"), 3.5);
-  EXPECT_DOUBLE_EQ(*ParseDouble("-1e3"), -1000.0);
+  EXPECT_DOUBLE_EQ(*ParseDouble(" -1e3 "), -1000.0);
   EXPECT_FALSE(ParseDouble("abc").has_value());
+  EXPECT_FALSE(ParseDouble("").has_value());
+  EXPECT_FALSE(ParseDouble("1.5x").has_value());
+  // Subnormals parse; overflow and underflow to zero do not.
+  EXPECT_EQ(ParseDouble("9.9999999999999694e-311"), 9.9999999999999694e-311);
+  EXPECT_EQ(ParseDouble("4.9406564584124654e-324"),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_FALSE(ParseDouble("1e400").has_value());
+  EXPECT_FALSE(ParseDouble("1e-400").has_value());
+  // No writer emits a leading '+' or a hex float.
+  EXPECT_FALSE(ParseDouble("+5").has_value());
+  EXPECT_FALSE(ParseDouble("0x1p3").has_value());
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// The number codec's contract: AppendDouble appends exactly the bytes
+// "%.17g" prints, and ParseDouble reads them back to the same bits.
+bool CodecAgreesWithPrintf(double value) {
+  std::string appended = "x";
+  AppendDouble(&appended, value);
+  const std::string printed = StrFormat("%.17g", value);
+  if (appended != "x" + printed) {
+    ADD_FAILURE() << "AppendDouble gave '" << appended.substr(1)
+                  << "', %.17g gave '" << printed << "'";
+    return false;
+  }
+  const std::optional<double> parsed = ParseDouble(printed);
+  if (!parsed || Bits(*parsed) != Bits(value)) {
+    ADD_FAILURE() << "'" << printed << "' did not parse back to its bits";
+    return false;
+  }
+  return true;
+}
+
+TEST(NumberCodec, EdgeValuesMatchPrintfAndRoundTrip) {
+  using limits = std::numeric_limits<double>;
+  const double two53 = 9007199254740992.0;
+  std::vector<double> values = {
+      0.0, limits::denorm_min(),
+      std::nextafter(limits::min(), 0.0),  // the largest subnormal
+      limits::min(), limits::max(), two53 - 1, two53, two53 + 2,
+      std::nextafter(two53, 0.0), 0.1, 1.0 / 3.0, 123.456, 1e300};
+  // The %g switch points between fixed and exponent notation.
+  for (const double edge : {1e-5, 1e16, 1e17}) {
+    values.push_back(std::nextafter(edge, 0.0));
+    values.push_back(edge);
+    values.push_back(std::nextafter(edge, limits::infinity()));
+  }
+  for (const double value : values) {
+    EXPECT_TRUE(CodecAgreesWithPrintf(value)) << value;
+    EXPECT_TRUE(CodecAgreesWithPrintf(-value)) << -value;
+  }
+}
+
+TEST(NumberCodec, RandomBitPatternsMatchPrintfAndRoundTrip) {
+  Rng rng(20);
+  int finite = 0;
+  while (finite < 1'000'000) {
+    const uint64_t bits = rng.NextUint64();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (!std::isfinite(value)) continue;
+    ++finite;
+    ASSERT_TRUE(CodecAgreesWithPrintf(value)) << "bits " << bits;
+  }
+}
+
+TEST(NumberCodec, AppendIntMatchesPrintf) {
+  for (const int64_t value :
+       {int64_t{0}, int64_t{-1}, int64_t{7}, int64_t{1} << 40, INT64_MAX,
+        INT64_MIN, int64_t{INT32_MIN}}) {
+    std::string appended;
+    AppendInt(&appended, value);
+    EXPECT_EQ(appended, StrFormat("%lld", static_cast<long long>(value)));
+    EXPECT_EQ(ParseInt(appended), value);
+  }
 }
 
 TEST(StringUtil, ParseBool) {
