@@ -1,10 +1,11 @@
 #include "algo/bounds.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <utility>
 
-#include "flow/graph.h"
-#include "flow/min_cost_flow.h"
+#include "flow/transport_ssp.h"
 #include "util/check.h"
 
 namespace geacc {
@@ -86,32 +87,36 @@ double BMatchingBound(const BoundInputs& in, int suffix_start) {
       << "the LP bound needs user capacities";
   const int num_suffix = in.num_events - suffix_start;
   if (num_suffix <= 0 || in.num_users == 0) return 0.0;
-  // source → event (c_v) → user (1 per pair, cost -sim) → sink (c_u).
-  const int source = 0;
-  const int first_event = 1;
-  const int first_user = first_event + num_suffix;
-  const int sink = first_user + in.num_users;
-  FlowGraph graph(sink + 1);
+  // MinCostFlow-GEACC's network over the suffix's events in visit order:
+  // source → event (c_v) → user (1 per pair, cost 1 − sim) → sink (c_u).
+  // A pair with sim ≤ 0 costs 1: it adds no weight, so the optimum is
+  // that of the network without it.
+  std::vector<double> costs(static_cast<size_t>(num_suffix) * in.num_users);
+  std::vector<int64_t> event_capacity(num_suffix);
   for (int i = 0; i < num_suffix; ++i) {
     const EventId v = in.order[suffix_start + i];
-    graph.AddArc(source, first_event + i, in.event_capacity[v], 0.0);
+    event_capacity[i] = in.event_capacity[v];
     const double* row = in.sim + static_cast<size_t>(v) * in.num_users;
+    double* cost = costs.data() + static_cast<size_t>(i) * in.num_users;
     for (UserId u = 0; u < in.num_users; ++u) {
-      if (row[u] > 0.0) {
-        graph.AddArc(first_event + i, first_user + u, 1, -row[u]);
-      }
+      cost[u] = row[u] > 0.0 ? 1.0 - row[u] : 1.0;
     }
   }
-  for (UserId u = 0; u < in.num_users; ++u) {
-    graph.AddArc(first_user + u, sink, in.user_capacity[u], 0.0);
+  TransportSsp ssp(costs.data(), std::move(event_capacity),
+                   std::vector<int64_t>(in.user_capacity,
+                                        in.user_capacity + in.num_users));
+  // Every source-to-sink residual path alternates forward and backward
+  // event→user arcs and has exactly one more forward arc than backward,
+  // so under 1 − sim it costs exactly 1 more than under −sim: a path
+  // gains weight iff it costs < 1. Path costs never decrease, so the
+  // first path at ≥ 1 ends the sweep at the max-weight b-matching (= the
+  // LP optimum; the polytope is integral), whose weight is Δ − cost(Δ).
+  // The stop is exactly 1, not MinCostFlow-GEACC's 1 − 1e-9: dropping a
+  // path that gains less than 1e-9 would leave the bound below the
+  // optimum it must cover.
+  while (ssp.AugmentIfCheaper(1.0) > 0) {
   }
-  // Successive cheapest augmentations while profitable: path costs are
-  // non-decreasing, so the first non-negative path ends the sweep at the
-  // max-weight b-matching (= the LP optimum; the polytope is integral).
-  SuccessiveShortestPaths ssp(&graph, source, sink);
-  while (ssp.AugmentIfCheaper(0.0) > 0) {
-  }
-  return -ssp.total_cost();
+  return static_cast<double>(ssp.total_flow()) - ssp.total_cost();
 }
 
 std::vector<double> ComputeSuffixBounds(const BoundInputs& in, BoundMode mode,

@@ -55,7 +55,8 @@ struct SolverOptions {
 
   // MinCostFlow-GEACC: resolve each user's conflicts exactly (bitmask
   // max-weight independent set over their ≤ c_u assigned events) instead
-  // of the paper's greedy rule. Never worse, exponential only in c_u.
+  // of the paper's greedy rule. Never worse, exponential only in c_u; at
+  // Table III size it gained 1–7% MaxSum at the same CPU (DESIGN.md §7).
   bool exact_conflict_resolution = false;
 
   // Prune-GEACC ablation toggles (all true = paper's Algorithm 3/4;

@@ -15,7 +15,7 @@ namespace geacc {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-// The generic engine's improvement tolerance (flow/min_cost_flow.cc).
+// The improvement tolerance of the generic reference engine (tests/flow/).
 constexpr double kEps = 1e-9;
 
 }  // namespace

@@ -1,17 +1,20 @@
-// Successive shortest paths on the one network MinCostFlow-GEACC builds:
-// a dense bipartite transportation problem
+// The library's one min-cost-flow engine: successive shortest paths on
+// the network GEACC's conflict-free relaxation builds, a dense bipartite
+// transportation problem
 //
 //   source → event v   capacity c_v, cost 0
 //   event v → user u   capacity 1,   cost pair_costs[v·|U| + u]  (1 − sim)
 //   user u → sink      capacity c_u, cost 0
 //
-// It makes exactly the augmentations SuccessiveShortestPaths makes on the
-// FlowGraph of that network (flow/min_cost_flow.h): the same node
-// numbering (0 = source, 1..|V| events, |V|+1..|V|+|U| users, then the
-// sink), the same Johnson potentials, the same (distance, id) settle
-// order, the same reduced-cost, ε-improvement and path-cost arithmetic,
-// and the same flow.dijkstra.* / flow.augmenting_paths counts. Only the
-// representation differs:
+// MinCostFlow-GEACC runs it over the whole instance, and the clique-lp
+// bound (algo/bounds.h, BMatchingBound) over each suffix of the search
+// order. It makes exactly the augmentations the generic engine kept as
+// the test reference (in tests/flow/) makes on the arc-list graph of
+// that network: the same node numbering (0 = source, 1..|V| events,
+// |V|+1..|V|+|U| users, then the sink), the same Johnson potentials, the
+// same (distance, id) settle order, the same reduced-cost, ε-improvement
+// and path-cost arithmetic, and the same flow.dijkstra.* /
+// flow.augmenting_paths counts. Only the representation differs:
 //
 //   * Each event keeps a dense forward-cost row in which a pair reads +inf
 //     once it carries flow, so one branch-free kernel (simd::RelaxRow)
@@ -58,8 +61,8 @@ class TransportSsp {
   TransportSsp(const double* pair_costs, std::vector<int64_t> event_capacity,
                std::vector<int64_t> user_capacity);
 
-  // SuccessiveShortestPaths::AugmentIfCheaper: pushes one unit along the
-  // cheapest path iff its real cost is strictly below `cost_limit`.
+  // Pushes one unit along the cheapest path iff its real cost is strictly
+  // below `cost_limit` (the reference's AugmentIfCheaper).
   int64_t AugmentIfCheaper(double cost_limit);
 
   int64_t total_flow() const { return total_flow_; }

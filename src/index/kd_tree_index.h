@@ -9,9 +9,10 @@
 // enumeration matches LinearScanIndex exactly.
 //
 // In high dimensions (the paper's default d = 20) a kd-tree degenerates
-// toward a scan; it still satisfies the cursor contract, but MakeIndex
-// only picks it at d <= kKdTreeMaxDim (bench/micro_index and DESIGN.md §3
-// quantify the crossover).
+// toward a scan; it still satisfies the cursor contract. No solver runs
+// it: it is reached only by name through MakeIndex, from
+// bench/micro_index and the index tests (DESIGN.md §3 measures it
+// against linear scan).
 
 #ifndef GEACC_INDEX_KD_TREE_INDEX_H_
 #define GEACC_INDEX_KD_TREE_INDEX_H_

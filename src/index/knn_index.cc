@@ -65,14 +65,6 @@ std::unique_ptr<NnCursor> OrderTiesById(std::unique_ptr<NnCursor> inner) {
   return std::make_unique<TieOrderingCursor>(std::move(inner));
 }
 
-std::unique_ptr<KnnIndex> MakeIndex(const AttributeMatrix& points,
-                                    const SimilarityFunction& similarity) {
-  if (similarity.IsEuclideanMonotone() && points.dim() <= kKdTreeMaxDim) {
-    return std::make_unique<KdTreeIndex>(points, similarity);
-  }
-  return std::make_unique<LinearScanIndex>(points, similarity);
-}
-
 std::unique_ptr<KnnIndex> MakeIndex(const std::string& name,
                                     const AttributeMatrix& points,
                                     const SimilarityFunction& similarity) {

@@ -18,8 +18,8 @@
 // All four produce the identical enumeration (similarity desc, id asc);
 // they differ only in cost profile. No solver goes through MakeIndex:
 // Greedy-GEACC runs LinearScanIndex's seat-filtered cursors, and
-// IncrementalArranger its plain linear cursors. Both factories below
-// serve benches and tests.
+// IncrementalArranger its plain linear cursors. The named factory below
+// serves benches and tests.
 
 #ifndef GEACC_INDEX_KNN_INDEX_H_
 #define GEACC_INDEX_KNN_INDEX_H_
@@ -80,18 +80,6 @@ class KnnIndex {
 // run is buffered and re-emitted by ascending id, which restores the
 // NnCursor contract at the cost of reading one point ahead.
 std::unique_ptr<NnCursor> OrderTiesById(std::unique_ptr<NnCursor> inner);
-
-// Highest dimensionality at which MakeIndex picks the kd-tree. Up to it,
-// greedy over the kd-tree took >= 10% less CPU than over unfiltered linear
-// scan with no more peak RSS; above it, it did not (measurements in
-// DESIGN.md §3, taken before greedy's cursors became seat-filtered).
-inline constexpr int kKdTreeMaxDim = 3;
-
-// Picks a backend from the data: a KdTreeIndex when `similarity` is
-// Euclidean-monotone and points.dim() <= kKdTreeMaxDim, a LinearScanIndex
-// otherwise. `points` and `similarity` must outlive the index.
-std::unique_ptr<KnnIndex> MakeIndex(const AttributeMatrix& points,
-                                    const SimilarityFunction& similarity);
 
 // Builds the named backend over the rows of `points`. `name` ∈ {"linear",
 // "kdtree", "vafile", "idistance", "idistance-paged"} — the paged variant

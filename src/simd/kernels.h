@@ -169,7 +169,7 @@ void BatchVaLowerBound(Level level, const double* cell_table, int cells,
 // Dijkstra row relaxation (flow/transport_ssp.cc).
 //
 // Relaxes the n arcs tail → head i of one dense cost row, in the generic
-// SSP engine's arithmetic and order (flow/min_cost_flow.cc):
+// SSP engine's arithmetic and order (the reference in tests/flow/):
 //
 //     r    = (cost[i] + tail_potential) − head_potential[i]
 //     r    = r > 0 ? r : +0.0

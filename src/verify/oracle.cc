@@ -9,9 +9,11 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "algo/solvers.h"
 #include "dyn/dynamic_instance.h"
@@ -28,6 +30,7 @@
 #include "svc/client.h"
 #include "svc/service.h"
 #include "svc/snapshot.h"
+#include "svc/wal.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "verify/audit.h"
@@ -418,74 +421,257 @@ std::string CheckRepairTrace(const CampaignConfig& config, uint64_t index) {
   return "";
 }
 
-// Slot-space pairs of a service snapshot, deterministic order.
-std::vector<std::pair<UserId, EventId>> SnapshotPairs(
-    const svc::ServiceSnapshot& snapshot) {
+// What a recovery must reproduce bit for bit: MaxSum, the slot-space
+// pairs in deterministic order, and the epoch.
+struct ServiceFacts {
+  double max_sum = 0.0;
   std::vector<std::pair<UserId, EventId>> pairs;
-  for (UserId u = 0; u < snapshot.user_slots(); ++u) {
-    for (const EventId v : snapshot.AssignmentsOf(u)) pairs.emplace_back(u, v);
+  int64_t epoch = 0;
+};
+
+ServiceFacts FactsOf(const svc::ArrangementService& service) {
+  const auto snapshot = service.snapshot();
+  ServiceFacts facts;
+  facts.max_sum = snapshot->max_sum();
+  for (UserId u = 0; u < snapshot->user_slots(); ++u) {
+    for (const EventId v : snapshot->AssignmentsOf(u)) {
+      facts.pairs.emplace_back(u, v);
+    }
   }
-  return pairs;
+  facts.epoch = snapshot->epoch();
+  return facts;
+}
+
+// "" when `recovered` equals `live` bit for bit, else the first difference.
+std::string CompareFacts(const ServiceFacts& recovered,
+                         const ServiceFacts& live) {
+  if (recovered.max_sum != live.max_sum) {  // bit-identical by contract
+    return StrFormat("recovered MaxSum %.17g != live %.17g",
+                     recovered.max_sum, live.max_sum);
+  }
+  if (recovered.pairs != live.pairs) {
+    return StrFormat("recovered pair set (%zu pairs) != live (%zu pairs)",
+                     recovered.pairs.size(), live.pairs.size());
+  }
+  if (recovered.epoch != live.epoch) {
+    return StrFormat("recovered epoch %lld != live %lld",
+                     static_cast<long long>(recovered.epoch),
+                     static_cast<long long>(live.epoch));
+  }
+  return "";
+}
+
+// A per-process, per-iteration scratch file for the WAL checks.
+std::string ScratchPath(const CampaignConfig& config, uint64_t index,
+                        const char* suffix) {
+  const std::filesystem::path dir =
+      config.scratch_dir.empty()
+          ? std::filesystem::temp_directory_path()
+          : std::filesystem::path(config.scratch_dir);
+  return (dir / StrFormat("geacc_audit_%d_%llu%s", static_cast<int>(::getpid()),
+                          static_cast<unsigned long long>(index), suffix))
+      .string();
+}
+
+// Submits `mutations` in order; "" when every Submit is accepted.
+std::string SubmitAll(svc::ArrangementService& service,
+                      const std::vector<Mutation>& mutations) {
+  for (const Mutation& mutation : mutations) {
+    const svc::SubmitResult submitted = service.Submit(mutation);
+    if (submitted.status != svc::SvcStatus::kOk) {
+      return StrFormat("Submit returned %s mid-trace",
+                       svc::SvcStatusName(submitted.status));
+    }
+  }
+  return "";
+}
+
+// Recovers a service from `options` and returns what it serves; on
+// failure returns nullopt and sets `detail`.
+std::optional<ServiceFacts> RecoveredFacts(const svc::ServiceOptions& options,
+                                           std::string* detail) {
+  std::string error;
+  const auto recovered = svc::ArrangementService::Recover(options, &error);
+  if (recovered == nullptr) {
+    *detail = "Recover failed: " + error;
+    return std::nullopt;
+  }
+  ServiceFacts facts = FactsOf(*recovered);
+  recovered->Stop();
+  return facts;
 }
 
 // WAL differential: live service state after a trace ≡ recovered state.
 std::string CheckWalRecovery(const CampaignConfig& config, uint64_t index) {
   const MutationTrace trace =
       GenerateTrace(TraceConfigFor(config, index * 31 + 17));
-  const std::filesystem::path dir =
-      config.scratch_dir.empty()
-          ? std::filesystem::temp_directory_path()
-          : std::filesystem::path(config.scratch_dir);
-  const std::string wal_path =
-      (dir / StrFormat("geacc_audit_%d_%llu.wal", static_cast<int>(::getpid()),
-                       static_cast<unsigned long long>(index)))
-          .string();
-
   svc::ServiceOptions options;
-  options.wal_path = wal_path;
+  options.wal_path = ScratchPath(config, index, ".wal");
 
-  double live_max_sum = 0.0;
-  int64_t live_epoch = 0;
-  std::vector<std::pair<UserId, EventId>> live_pairs;
+  ServiceFacts live;
   {
     svc::ArrangementService service(trace.initial, options);
-    for (const Mutation& mutation : trace.mutations) {
-      const svc::SubmitResult submitted = service.Submit(mutation);
-      if (submitted.status != svc::SvcStatus::kOk) {
-        std::filesystem::remove(wal_path);
-        return StrFormat("Submit returned %s mid-trace",
-                         svc::SvcStatusName(submitted.status));
-      }
+    const std::string problem = SubmitAll(service, trace.mutations);
+    if (!problem.empty()) {
+      std::filesystem::remove(options.wal_path);
+      return problem;
     }
     service.Flush();
-    const auto snapshot = service.snapshot();
-    live_max_sum = snapshot->max_sum();
-    live_epoch = snapshot->epoch();
-    live_pairs = SnapshotPairs(*snapshot);
+    live = FactsOf(service);
     service.Stop();
   }
 
-  std::string error;
-  const auto recovered = svc::ArrangementService::Recover(options, &error);
-  if (recovered == nullptr) {
-    std::filesystem::remove(wal_path);
-    return "Recover failed: " + error;
-  }
-  const auto snapshot = recovered->snapshot();
   std::string detail;
-  if (snapshot->max_sum() != live_max_sum) {  // bit-identical by contract
-    detail = StrFormat("recovered MaxSum %.17g != live %.17g",
-                       snapshot->max_sum(), live_max_sum);
-  } else if (SnapshotPairs(*snapshot) != live_pairs) {
-    detail = StrFormat("recovered pair set (%zu pairs) != live (%zu pairs)",
-                       SnapshotPairs(*snapshot).size(), live_pairs.size());
-  } else if (snapshot->epoch() != live_epoch) {
-    detail = StrFormat("recovered epoch %lld != live %lld",
-                       static_cast<long long>(snapshot->epoch()),
-                       static_cast<long long>(live_epoch));
+  if (const auto recovered = RecoveredFacts(options, &detail)) {
+    detail = CompareFacts(*recovered, live);
   }
-  recovered->Stop();
-  std::filesystem::remove(wal_path);
+  std::filesystem::remove(options.wal_path);
+  return detail;
+}
+
+// Writes to `to` the WAL at `from` with its epoch-0 instance under a
+// similarity of twice the parameter (T for the campaign's Euclidean
+// traces). Every similarity moves, so a full replay lands on another
+// arrangement, yet every logged mutation still applies: same ids and
+// dimension, attributes still within [0, 2T]. "" on success.
+std::string WriteDecoyWal(const std::string& from, const std::string& to) {
+  std::string error;
+  const std::optional<svc::WalContents> log = svc::ReadWal(from, &error);
+  if (!log) return "cannot read the WAL copy: " + error;
+  const Instance& initial = log->initial;
+  std::vector<int> event_capacities(initial.num_events());
+  for (EventId v = 0; v < initial.num_events(); ++v) {
+    event_capacities[v] = initial.event_capacity(v);
+  }
+  std::vector<int> user_capacities(initial.num_users());
+  for (UserId u = 0; u < initial.num_users(); ++u) {
+    user_capacities[u] = initial.user_capacity(u);
+  }
+  std::unique_ptr<SimilarityFunction> similarity = MakeSimilarity(
+      initial.similarity().Name(), 2.0 * initial.similarity().Param());
+  GEACC_CHECK(similarity != nullptr);
+  const Instance decoy(initial.event_attributes(), std::move(event_capacities),
+                       initial.user_attributes(), std::move(user_capacities),
+                       initial.conflicts(), std::move(similarity));
+  svc::WalWriter writer;
+  if (!writer.Open(to, decoy, &error)) {
+    return "cannot write the decoy WAL: " + error;
+  }
+  bool written = true;
+  for (const Mutation& mutation : log->mutations) {
+    written = writer.Append(mutation) && written;
+  }
+  written = writer.Sync() && written;
+  writer.Close();
+  return written ? "" : "cannot write the decoy WAL";
+}
+
+// Checkpoint + WAL-suffix differential. A service runs the first half of
+// a trace with a paged checkpoint and stops, which checkpoints it; it is
+// recovered, applies the second half, and its WAL and checkpoint are
+// copied while it still runs. Recovery from the copies must serve the
+// live MaxSum bits, pair set and epoch.
+//
+// Equal bits alone cannot tell checkpoint recovery from the full-replay
+// fallback, and a stats counter reads 0 under GEACC_NO_STATS. So the same
+// recovery is also run over a decoy WAL: the copied mutation log under a
+// doubled similarity parameter. Recovery from the checkpoint reads that
+// log's suffix only and still lands on the live bits; a full replay of
+// the decoy (checked to differ) would not.
+std::string CheckCheckpointRecovery(const CampaignConfig& config,
+                                    uint64_t index) {
+  const MutationTrace trace =
+      GenerateTrace(TraceConfigFor(config, index * 31 + 23));
+  // A service that applies no batch writes no checkpoint.
+  if (trace.mutations.empty()) return "";
+  const size_t half = (trace.mutations.size() + 1) / 2;
+  const std::vector<Mutation> first(trace.mutations.begin(),
+                                    trace.mutations.begin() + half);
+  const std::vector<Mutation> second(trace.mutations.begin() + half,
+                                     trace.mutations.end());
+
+  svc::ServiceOptions options;
+  options.wal_path = ScratchPath(config, index, "-ckpt.wal");
+  options.paged_checkpoint_path = ScratchPath(config, index, "-ckpt.pages");
+  // Only Stop() checkpoints, so no checkpoint is being written while the
+  // files are copied.
+  options.checkpoint_interval_batches =
+      static_cast<int>(trace.mutations.size()) + 1;
+  svc::ServiceOptions copy = options;
+  copy.wal_path = ScratchPath(config, index, "-copy.wal");
+  copy.paged_checkpoint_path = ScratchPath(config, index, "-copy.pages");
+  svc::ServiceOptions decoy = options;
+  decoy.wal_path = ScratchPath(config, index, "-decoy.wal");
+  decoy.paged_checkpoint_path = ScratchPath(config, index, "-decoy.pages");
+  svc::ServiceOptions decoy_replay = decoy;
+  decoy_replay.paged_checkpoint_path.clear();
+  const auto clean_up = [&] {
+    for (const svc::ServiceOptions* files : {&options, &copy, &decoy}) {
+      std::filesystem::remove(files->wal_path);
+      std::filesystem::remove(files->paged_checkpoint_path);
+    }
+  };
+
+  {
+    svc::ArrangementService service(trace.initial, options);
+    const std::string problem = SubmitAll(service, first);
+    if (!problem.empty()) {
+      clean_up();
+      return problem;
+    }
+    service.Stop();
+  }
+  std::string error;
+  const auto resumed = svc::ArrangementService::Recover(options, &error);
+  if (resumed == nullptr) {
+    clean_up();
+    return "Recover after the first half failed: " + error;
+  }
+  std::string detail = SubmitAll(*resumed, second);
+  resumed->Flush();
+  const ServiceFacts live = FactsOf(*resumed);
+  // The recovery from `copy` rewrites its checkpoint at Stop(), so the
+  // decoy gets a checkpoint copy of its own.
+  const auto overwrite = std::filesystem::copy_options::overwrite_existing;
+  std::error_code copy_error;
+  std::filesystem::copy_file(options.wal_path, copy.wal_path, overwrite,
+                             copy_error);
+  for (const std::string* to :
+       {&copy.paged_checkpoint_path, &decoy.paged_checkpoint_path}) {
+    if (!copy_error) {
+      std::filesystem::copy_file(options.paged_checkpoint_path, *to,
+                                 overwrite, copy_error);
+    }
+  }
+  resumed->Stop();
+  if (detail.empty() && copy_error) {
+    detail = "cannot copy the WAL or checkpoint: " + copy_error.message();
+  }
+
+  if (detail.empty()) {
+    if (const auto recovered = RecoveredFacts(copy, &detail)) {
+      detail = CompareFacts(*recovered, live);
+    }
+  }
+  if (detail.empty()) detail = WriteDecoyWal(copy.wal_path, decoy.wal_path);
+  if (detail.empty()) {
+    if (const auto replayed = RecoveredFacts(decoy_replay, &detail)) {
+      if (replayed->max_sum == live.max_sum) {
+        detail = "a full replay of the decoy WAL reaches the live MaxSum, so "
+                 "it cannot show which path recovery took";
+      }
+    }
+  }
+  if (detail.empty()) {
+    if (const auto recovered = RecoveredFacts(decoy, &detail)) {
+      detail = CompareFacts(*recovered, live);
+      if (!detail.empty()) {
+        detail = "recovery replayed the WAL prefix its checkpoint covers: " +
+                 detail;
+      }
+    }
+  }
+  clean_up();
   return detail;
 }
 
@@ -730,6 +916,12 @@ CampaignResult RunCampaign(const CampaignConfig& config, std::ostream* log) {
       std::string detail = CheckWalRecovery(config, index);
       if (!detail.empty()) {
         record_failure("wal/recovery", std::move(detail), index, nullptr);
+      }
+      ++result.checks;
+      detail = CheckCheckpointRecovery(config, index);
+      if (!detail.empty()) {
+        record_failure("wal/recovery-ckpt", std::move(detail), index,
+                       nullptr);
       }
     }
     if (config.shard_period > 0 && i % config.shard_period == 0) {

@@ -39,6 +39,11 @@
 //                          its write path, then recovered from its WAL,
 //                          lands on a bit-identical snapshot (MaxSum and
 //                          pair set)
+//   * wal/recovery-ckpt    the same through a paged checkpoint plus the
+//                          WAL suffix: recovery from copies of a running
+//                          service's WAL and checkpoint serves its MaxSum
+//                          bits, pair set and epoch, and a decoy WAL shows
+//                          it read the checkpoint, not the full log
 //   * sharded/N=2,
 //     sharded/N=3          a ShardCoordinator over N in-process score-only
 //                          shard services, seeded with the same instance,

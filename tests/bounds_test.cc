@@ -2,6 +2,7 @@
 // §18): clique-partition structure and determinism, suffix-bound
 // admissibility and ordering across the bound hierarchy, the
 // degenerate-case guarantee (empty conflict graph ≡ Lemma 6 bitwise),
+// the LP bound's b-matching against the generic reference flow engine,
 // bit-identity of the bounded exact solvers against the exhaustive
 // oracle, the bound-ties-incumbent regression, and slot-exact's
 // forced-conflict clique caps.
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -18,9 +20,13 @@
 #include "core/arrangement.h"
 #include "core/conflict_graph.h"
 #include "core/instance.h"
+#include "simd/simd.h"
 #include "slot/slot_solvers.h"
 #include "slot/slotted_gen.h"
+#include "tests/flow/graph.h"
+#include "tests/flow/min_cost_flow.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace geacc {
 namespace {
@@ -229,6 +235,135 @@ TEST(ComputeSuffixBounds, CompleteGraphCliqueCapIsTight) {
   EXPECT_DOUBLE_EQ(lemma6[0], 1.8);
   EXPECT_DOUBLE_EQ(clique[0], 1.0);
   EXPECT_DOUBLE_EQ(ExactOptimum(instance), 1.0);
+}
+
+// ---------------------------------------- b-matching vs the reference ---
+
+// The b-matching weight on the generic engine (tests/flow), the way the
+// LP bound computed it before it moved onto TransportSsp: an arc per pair
+// with sim > 0 at cost −sim, a Bellman–Ford bootstrap, and augmentation
+// while a path costs < 0.
+double ReferenceBMatching(const BoundInputs& in, int suffix_start) {
+  const int num_suffix = in.num_events - suffix_start;
+  if (num_suffix <= 0 || in.num_users == 0) return 0.0;
+  const int first_user = 1 + num_suffix;
+  const int sink = first_user + in.num_users;
+  FlowGraph graph(sink + 1);
+  for (int i = 0; i < num_suffix; ++i) {
+    const EventId v = in.order[suffix_start + i];
+    graph.AddArc(0, 1 + i, in.event_capacity[v], 0.0);
+    for (UserId u = 0; u < in.num_users; ++u) {
+      const double s = in.sim[static_cast<size_t>(v) * in.num_users + u];
+      if (s > 0.0) graph.AddArc(1 + i, first_user + u, 1, -s);
+    }
+  }
+  for (UserId u = 0; u < in.num_users; ++u) {
+    graph.AddArc(first_user + u, sink, in.user_capacity[u], 0.0);
+  }
+  SuccessiveShortestPaths ssp(&graph, 0, sink);
+  while (ssp.AugmentIfCheaper(0.0) > 0) {
+  }
+  return -ssp.total_cost();
+}
+
+// Seeded inputs for the b-matching alone (no event bounds, no conflict
+// graph): each similarity from `sim(rng)`, c_v ~ U[1, max_event_capacity],
+// c_u ~ U[min_user_capacity, max_user_capacity], and a shuffled visit
+// order.
+struct MatchingShape {
+  const char* name;
+  int events;
+  int users;
+  int max_event_capacity;
+  int min_user_capacity;
+  int max_user_capacity;
+  double (*sim)(Rng&);
+};
+
+// Points `owned.in` at the owned similarity, capacity and order arrays.
+void LinkMatchingInputs(int events, int users, OwnedInputs& owned) {
+  owned.in.num_events = events;
+  owned.in.num_users = users;
+  owned.in.sim = owned.sim.data();
+  owned.in.event_capacity = owned.event_capacity.data();
+  owned.in.user_capacity = owned.user_capacity.data();
+  owned.in.order = owned.order.data();
+}
+
+OwnedInputs RandomMatchingInputs(const MatchingShape& shape, uint64_t seed) {
+  Rng rng(seed);
+  OwnedInputs owned;
+  owned.sim.resize(static_cast<size_t>(shape.events) * shape.users);
+  for (double& s : owned.sim) s = shape.sim(rng);
+  for (int v = 0; v < shape.events; ++v) {
+    owned.event_capacity.push_back(
+        static_cast<int>(rng.UniformInt(1, shape.max_event_capacity)));
+    owned.order.push_back(v);
+  }
+  for (int u = 0; u < shape.users; ++u) {
+    owned.user_capacity.push_back(static_cast<int>(
+        rng.UniformInt(shape.min_user_capacity, shape.max_user_capacity)));
+  }
+  for (int i = shape.events - 1; i > 0; --i) {
+    std::swap(owned.order[i], owned.order[rng.UniformInt(0, i)]);
+  }
+  LinkMatchingInputs(shape.events, shape.users, owned);
+  return owned;
+}
+
+TEST(BMatchingBound, AgreesWithReferenceEngineAtEverySuffix) {
+  const auto uniform = [](Rng& rng) { return rng.NextDouble(); };
+  const MatchingShape shapes[] = {
+      // Most pairs at similarity exactly 0, and more seats than positive
+      // pairs: TransportSsp gets the zero pairs at cost 1 and must leave
+      // them empty; the reference gets no arc for them.
+      {"zero-sims", 8, 20, 10, 1, 3,
+       [](Rng& rng) { return rng.Bernoulli(0.7) ? 0.0 : rng.NextDouble(); }},
+      // Five similarity values: many equal-cost paths.
+      {"ties", 8, 20, 5, 1, 3,
+       [](Rng& rng) {
+         return 0.25 * static_cast<double>(rng.UniformInt(0, 4));
+       }},
+      // Every user can attend every event.
+      {"users-cover-all-events", 6, 15, 8, 6, 6, uniform},
+      {"single-user", 10, 1, 3, 1, 10, uniform},
+      {"wide", 25, 100, 20, 1, 4, uniform},
+  };
+  for (const char* mode : {"scalar", "auto"}) {
+    std::string error;
+    ASSERT_TRUE(simd::SetDispatchOverride(mode, &error)) << error;
+    for (const MatchingShape& shape : shapes) {
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        const OwnedInputs owned = RandomMatchingInputs(shape, seed);
+        for (int k = 0; k <= shape.events; ++k) {
+          const double reference = ReferenceBMatching(owned.in, k);
+          const double bound = algo::BMatchingBound(owned.in, k);
+          // Relative error, measured against max(|reference|, 1).
+          EXPECT_LE(std::fabs(bound - reference),
+                    1e-12 * std::max(1.0, std::fabs(reference)))
+              << mode << " " << shape.name << " seed=" << seed
+              << " suffix=" << k << ": " << bound << " vs " << reference;
+        }
+      }
+    }
+  }
+  std::string error;
+  ASSERT_TRUE(simd::SetDispatchOverride("auto", &error)) << error;
+}
+
+TEST(BMatchingBound, StopsAtPathCostOneExactly) {
+  // Each event's one positive pair, at 4e-10, is with a user of its own:
+  // three disjoint paths, each costing 1 − 4e-10. MinCostFlow-GEACC's
+  // 1 − 1e-9 stop would take none of them and return 0, below the
+  // optimum 1.2e-9 that the bound must cover.
+  OwnedInputs owned;
+  owned.sim = {4e-10, 0.0, 0.0, 0.0, 4e-10, 0.0, 0.0, 0.0, 4e-10};
+  owned.event_capacity = {1, 1, 1};
+  owned.user_capacity = {1, 1, 1};
+  owned.order = {0, 1, 2};
+  LinkMatchingInputs(3, 3, owned);
+  EXPECT_NEAR(algo::BMatchingBound(owned.in, 0), 1.2e-9, 1e-15);
+  EXPECT_NEAR(ReferenceBMatching(owned.in, 0), 1.2e-9, 1e-15);
 }
 
 // ------------------------------------------------------ bound option ---

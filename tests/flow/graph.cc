@@ -1,4 +1,4 @@
-#include "flow/graph.h"
+#include "tests/flow/graph.h"
 
 #include "util/memory.h"
 

@@ -6,8 +6,8 @@
 // capacity between the pair. Costs are real-valued (the GEACC reduction
 // uses cost = 1 - sim ∈ [0, 1]).
 
-#ifndef GEACC_FLOW_GRAPH_H_
-#define GEACC_FLOW_GRAPH_H_
+#ifndef GEACC_TESTS_FLOW_GRAPH_H_
+#define GEACC_TESTS_FLOW_GRAPH_H_
 
 #include <cstdint>
 #include <vector>
@@ -67,4 +67,4 @@ class FlowGraph {
 
 }  // namespace geacc
 
-#endif  // GEACC_FLOW_GRAPH_H_
+#endif  // GEACC_TESTS_FLOW_GRAPH_H_

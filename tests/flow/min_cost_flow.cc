@@ -1,4 +1,4 @@
-#include "flow/min_cost_flow.h"
+#include "tests/flow/min_cost_flow.h"
 
 #include <algorithm>
 #include <limits>

@@ -11,20 +11,20 @@
 // reduction has costs 1 - sim ∈ [0, 1], so the bootstrap is normally
 // skipped.
 //
-// This is the generic engine, over any FlowGraph. MinCostFlow-GEACC runs
-// flow/transport_ssp.h instead, which reproduces this engine's search
-// order exactly (node numbering, potentials, (distance, id) settle order,
-// arithmetic and counters) on the dense network that solver builds.
-// BMatchingBound (algo/bounds.cc) stays here: its costs are negative.
+// This is the generic engine, over any FlowGraph, kept with the tests as
+// the reference for the library's one flow engine, flow/transport_ssp.h.
+// That engine reproduces this one's search order exactly (node numbering,
+// potentials, (distance, id) settle order, arithmetic and counters) on
+// the dense network MinCostFlow-GEACC and BMatchingBound build.
 
-#ifndef GEACC_FLOW_MIN_COST_FLOW_H_
-#define GEACC_FLOW_MIN_COST_FLOW_H_
+#ifndef GEACC_TESTS_FLOW_MIN_COST_FLOW_H_
+#define GEACC_TESTS_FLOW_MIN_COST_FLOW_H_
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "flow/graph.h"
+#include "tests/flow/graph.h"
 
 namespace geacc {
 
@@ -83,4 +83,4 @@ class SuccessiveShortestPaths {
 
 }  // namespace geacc
 
-#endif  // GEACC_FLOW_MIN_COST_FLOW_H_
+#endif  // GEACC_TESTS_FLOW_MIN_COST_FLOW_H_

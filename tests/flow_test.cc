@@ -10,8 +10,8 @@
 #include <tuple>
 #include <vector>
 
-#include "flow/graph.h"
-#include "flow/min_cost_flow.h"
+#include "tests/flow/graph.h"
+#include "tests/flow/min_cost_flow.h"
 #include "util/rng.h"
 
 namespace geacc {

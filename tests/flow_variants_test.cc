@@ -1,7 +1,8 @@
 // Cross-checks between the two min-cost-flow engines — the generic
-// Dijkstra engine over a FlowGraph (flow/min_cost_flow.h) and the dense
-// transport engine MinCostFlow-GEACC runs (flow/transport_ssp.h) — on
-// small random networks, and tests of exact conflict resolution.
+// Dijkstra engine over a FlowGraph (tests/flow/min_cost_flow.h, the
+// reference) and the library's dense transport engine
+// (flow/transport_ssp.h) — on small random networks, and tests of exact
+// conflict resolution.
 
 #include <gtest/gtest.h>
 
@@ -13,10 +14,10 @@
 
 #include "algo/conflict_resolution.h"
 #include "algo/min_cost_flow_solver.h"
-#include "flow/graph.h"
-#include "flow/min_cost_flow.h"
 #include "flow/transport_ssp.h"
 #include "simd/simd.h"
+#include "tests/flow/graph.h"
+#include "tests/flow/min_cost_flow.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 

@@ -19,7 +19,6 @@
 #include "core/conflict_graph.h"
 #include "gen/ebsn.h"
 #include "gen/synthetic.h"
-#include "index/knn_index.h"
 #include "obs/stats.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -33,7 +32,7 @@ class GreedyEquivalenceTest : public ::testing::TestWithParam<Param> {};
 
 TEST_P(GreedyEquivalenceTest, HeapGreedyEqualsSortAllGreedy) {
   const auto& [num_events, num_users, density, seed] = GetParam();
-  for (const int dim : {kKdTreeMaxDim, kKdTreeMaxDim + 1}) {
+  for (const int dim : {3, 4}) {
     SyntheticConfig config;
     config.num_events = num_events;
     config.num_users = num_users;

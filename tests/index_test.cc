@@ -1,10 +1,9 @@
 // Unit and property tests for the k-NN index substrate. All four backends
 // (linear scan, kd-tree, VA-File, iDistance) must agree exactly: same
 // similarity values, same deterministic tie-break, every point enumerated
-// exactly once in non-increasing similarity order. MakeIndex's choice
-// between the kd-tree and linear scan is pinned on both sides of
-// kKdTreeMaxDim, and the seat-filtered linear cursor Greedy-GEACC runs is
-// checked against the plain one.
+// exactly once in non-increasing similarity order. The named factory's
+// fallback to linear scan is pinned, and the seat-filtered linear cursor
+// Greedy-GEACC runs is checked against the plain one.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "core/attributes.h"
-#include "core/masked_similarity.h"
 #include "core/similarity.h"
 #include "index/idistance_index.h"
 #include "index/kd_tree_index.h"
@@ -65,36 +63,6 @@ TEST(MakeIndex, FactoryNamesAndFallback) {
     EXPECT_EQ(MakeIndex(name, points, cosine)->Name(), "linear") << name;
   }
   EXPECT_EQ(MakeIndex("nope", points, euclid), nullptr);
-}
-
-TEST(MakeIndex, KdTreeUpToMaxDimThenLinearScan) {
-  const EuclideanSimilarity euclid(100.0);
-  const RbfSimilarity rbf(50.0);
-  for (int dim = 1; dim <= kKdTreeMaxDim; ++dim) {
-    const AttributeMatrix points = RandomPoints(10, dim, 1);
-    EXPECT_EQ(MakeIndex(points, euclid)->Name(), "kdtree") << "d=" << dim;
-    EXPECT_EQ(MakeIndex(points, rbf)->Name(), "kdtree") << "d=" << dim;
-    // Non-metric similarities: a distance order would be meaningless.
-    EXPECT_EQ(MakeIndex(points, CosineSimilarity())->Name(), "linear")
-        << "d=" << dim;
-    EXPECT_EQ(MakeIndex(points, DotSimilarity())->Name(), "linear")
-        << "d=" << dim;
-  }
-  for (const int dim : {kKdTreeMaxDim + 1, 20}) {
-    const AttributeMatrix points = RandomPoints(10, dim, 1);
-    EXPECT_EQ(MakeIndex(points, euclid)->Name(), "linear") << "d=" << dim;
-  }
-}
-
-TEST(MakeIndex, MaskedSimilarityGetsLinearScan) {
-  // A masked instance over a 1-d Euclidean base has dim 2 (base + identity
-  // column): low enough for the kd-tree, but the mask breaks the distance
-  // order.
-  const MaskedSimilarity masked(std::make_unique<EuclideanSimilarity>(100.0),
-                                /*base_dim=*/1, /*num_users=*/1, {1});
-  const AttributeMatrix points = RandomPoints(10, 2, 1);
-  ASSERT_LE(points.dim(), kKdTreeMaxDim);
-  EXPECT_EQ(MakeIndex(points, masked)->Name(), "linear");
 }
 
 TEST(DistanceOrderedIndexes, RejectNonMonotoneSimilarity) {

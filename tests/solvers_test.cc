@@ -11,7 +11,6 @@
 #include "algo/prune_solver.h"
 #include "algo/random_solvers.h"
 #include "algo/solvers.h"
-#include "index/knn_index.h"
 #include "tests/test_util.h"
 
 namespace geacc {
@@ -136,14 +135,11 @@ TEST(GreedySolver, DeterministicAcrossRuns) {
 }
 
 TEST(GreedySolver, IndexChoiceDoesNotChangeResult) {
-  // SmallRandomInstance is 3-d, where MakeIndex would pick the kd-tree;
-  // greedy runs seat-filtered linear-scan cursors at every dimensionality
-  // and must still admit what the sort-all specification admits.
+  // SmallRandomInstance is 3-d, where a kd-tree cursor once ran; greedy
+  // runs seat-filtered linear-scan cursors at every dimensionality and
+  // must still admit what the sort-all specification admits.
   for (uint64_t seed = 0; seed < 10; ++seed) {
     const Instance instance = SmallRandomInstance(5, 15, 0.25, 4, seed);
-    ASSERT_EQ(MakeIndex(instance.user_attributes(), instance.similarity())
-                  ->Name(),
-              "kdtree");
     const SolveResult greedy = GreedySolver().Solve(instance);
     const SolveResult sortall =
         CreateSolver("greedy-sortall")->Solve(instance);

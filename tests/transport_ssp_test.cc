@@ -1,9 +1,9 @@
 // Lockstep differential test of the dense transport SSP engine
-// (flow/transport_ssp.h) against the generic Dijkstra engine
-// (flow/min_cost_flow.h) on the network MinCostFlow-GEACC builds. Both
-// engines run AugmentIfCheaper(1 − 1e-9) side by side; after every call
-// the return value, the path, the path-cost bits and every potential's
-// bits must agree, and at the end every pair's flow and the
+// (flow/transport_ssp.h) against the generic Dijkstra engine kept as a
+// reference (tests/flow/min_cost_flow.h) on the network MinCostFlow-GEACC
+// builds. Both engines run AugmentIfCheaper(1 − 1e-9) side by side; after
+// every call the return value, the path, the path-cost bits and every
+// potential's bits must agree, and at the end every pair's flow and the
 // flow.dijkstra.* / flow.augmenting_paths counts must agree. Every case
 // runs at the scalar and at the auto dispatch level.
 
@@ -15,12 +15,12 @@
 #include <string>
 #include <vector>
 
-#include "flow/graph.h"
-#include "flow/min_cost_flow.h"
 #include "flow/transport_ssp.h"
 #include "gen/synthetic.h"
 #include "obs/stats.h"
 #include "simd/simd.h"
+#include "tests/flow/graph.h"
+#include "tests/flow/min_cost_flow.h"
 #include "util/rng.h"
 
 namespace geacc {
