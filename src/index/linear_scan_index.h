@@ -1,6 +1,7 @@
 // Exhaustive-scan NN index: O(n·d) per Query; a cursor rescans all n
-// points per refill, O(n·d + n log b) for a batch of b, with b doubling
-// from 64 to 16384. The baseline every other index is tested against, the
+// points per refill and selects the batch of b by a sampled similarity
+// floor, O(n·d + n + b log b) (DESIGN.md §15.5), with b doubling from 64
+// to 16384. The baseline every other index is tested against, the
 // fallback for non-metric similarities, and the only backend that can skip
 // points by a seat count (the seat-filtered cursor Greedy-GEACC runs).
 

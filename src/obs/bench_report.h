@@ -9,7 +9,9 @@
 //     "schema": "geacc-bench",          // always this literal
 //     "version": 1,
 //     "bench": "fig6_pruning",          // binary name
-//     "git_rev": "<hex or 'unknown'>",  // configure-time rev of the build
+//     "git_rev": "<hex>[-dirty]",       // build-time `git describe
+//                                       //   --always --dirty --abbrev=40`,
+//                                       //   or "unknown" outside git
 //     "flags": { "reps": "3", ... },    // CLI flags as name → value
 //     "points": [
 //       {
@@ -199,8 +201,10 @@ struct BenchReport {
 // described in *error (if non-null).
 bool ValidateBenchReport(const JsonValue& json, std::string* error = nullptr);
 
-// The git revision baked in at configure time (GEACC_GIT_REV), overridden
-// by the GEACC_GIT_REV environment variable if set; "unknown" otherwise.
+// The revision of the tree the binary was built from, taken at build time
+// (src/obs/git_rev.cmake): the commit hash, "<hash>-dirty" when tracked
+// files had changed, "unknown" outside a git work tree. A non-empty
+// GEACC_GIT_REV environment variable overrides it.
 std::string GitRevision();
 
 }  // namespace geacc::obs

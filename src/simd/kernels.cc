@@ -1,6 +1,7 @@
 // Level-independent batch drivers: loop the per-block reducers over a
-// blocked buffer and run the similarity "finishers" (sqrt / clamp / exp /
-// zero-norm blend) in portable code. Finishers are per-element IEEE
+// blocked buffer and run the similarity "finishers" (clamp / exp /
+// zero-norm blend) in portable code; the Euclidean finisher (sqrt, divide,
+// clamp) is a per-level whole-row kernel. Finishers are per-element IEEE
 // operations, so they are bit-identical at every dispatch level; only the
 // reducers differ per level, and only in kFast mode (see kernels.h).
 
@@ -84,12 +85,18 @@ void BatchEuclideanSimilarity(Level level, FpMode fp, double max_attribute,
     std::fill(out, out + rows, 1.0);
     return;
   }
-  BatchSquaredDistance(level, fp, query, blocked, dim, rows, out);
+  const KernelTable& k = GetKernels(level);
+  const auto reduce =
+      fp == FpMode::kFast ? k.squared_distance_fma : k.squared_distance;
   const double max_dist = max_attribute * std::sqrt(static_cast<double>(dim));
-  for (int64_t i = 0; i < rows; ++i) {
-    const double dist = std::sqrt(out[i]);
-    out[i] = std::clamp(1.0 - dist / max_dist, 0.0, 1.0);
-  }
+  // Finishing each block as soon as it is reduced lets the finisher's
+  // square roots and divides overlap the next block's reduction.
+  ForEachBlock(
+      [&](const double* q, const double* block, int d, double* out8) {
+        reduce(q, block, d, out8);
+        k.euclidean_finish(max_dist, out8, kBlockRows);
+      },
+      query, blocked, dim, rows, out);
 }
 
 void BatchCosineSimilarity(Level level, FpMode fp, const double* query,

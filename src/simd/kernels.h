@@ -69,10 +69,12 @@
 // Every Batch* driver is O(rows × dim) FLOPs and reads each blocked byte
 // exactly once, sequentially; scratch is O(kBlockRows) stack. Throughput
 // target (and measured on AVX2): ≥3× the per-pair virtual-call path —
-// from d = 20 for cosine/dot, from d = 100 for Euclidean/RBF, whose
-// per-element sqrt/exp finishers dilute the gain at small d. See
-// bench/micro_similarity; the strict mode's sequential per-lane
-// reduction leaves add latency exposed, which bounds small-d speedups.
+// from d = 20 for cosine/dot, from d = 2 for Euclidean (3.9× at d = 2,
+// 5.0× at d = 20: its sqrt/divide finisher is a vectorized row kernel),
+// and from d = 100 for RBF, whose per-element exp finisher dilutes the
+// gain at small d. See bench/micro_similarity; the strict mode's
+// sequential per-lane reduction leaves add latency exposed, which bounds
+// small-d speedups.
 
 #ifndef GEACC_SIMD_KERNELS_H_
 #define GEACC_SIMD_KERNELS_H_
@@ -214,11 +216,17 @@ struct KernelTable {
                        double* dot8, double* norm8);
   void (*va_lower_bound)(const double* cell_table, int cells,
                          const uint8_t* sig_block, int dim, double* out8);
-  // Whole-row kernel behind RelaxRow (not per block).
+  // Whole-row kernels (not per block). `relax_row` is RelaxRow's body;
+  // `euclidean_finish` is BatchEuclideanSimilarity's finisher: it maps n
+  // squared distances in place to clamp(1 − √d² / max_dist, 0, 1), each
+  // with EuclideanSimilarity::Compute's operations in its order (sqrt,
+  // divide, subtract, then std::clamp as max-then-min), so every level
+  // returns its bits.
   int64_t (*relax_row)(const double* cost, double tail_potential,
                        const double* head_potential, double tail_distance,
                        double eps, double* distance, int32_t* parent,
                        int32_t tail, int32_t* improved, int64_t n);
+  void (*euclidean_finish)(double max_dist, double* inout, int64_t n);
 };
 
 // The reducers for `level`. Requesting kAvx2 when CpuSupportsAvx2() is

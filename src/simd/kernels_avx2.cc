@@ -7,7 +7,11 @@
 // Lane geometry: a block holds 8 rows, one cache line (two __m256d) per
 // dimension, so each reducer runs two accumulator registers and the
 // whole inner loop is two aligned loads + arithmetic per dimension.
-// RelaxRow is the one whole-row kernel: four arcs per step, unaligned.
+// RelaxRow and the Euclidean finisher are the whole-row kernels: four
+// elements per step, unaligned.
+
+#include <algorithm>
+#include <cmath>
 
 #include "simd/kernels.h"
 #include "util/check.h"
@@ -251,6 +255,29 @@ int64_t RelaxRow(const double* cost, double tail_potential,
                                    improved, n);
 }
 
+// std::clamp(x, 0, 1) is std::min(std::max(x, 0), 1), i.e.
+// t = x < 0 ? 0 : x, then 1 < t ? 1 : t. MAXPD(a, b) is a > b ? a : b and
+// MINPD(a, b) is a < b ? a : b, so max(0, x) then min(1, t) makes the same
+// comparisons and returns the same operand, NaN and −0.0 included. Square
+// root, divide and subtract are correctly rounded, so every lane equals
+// the scalar level's bits.
+void EuclideanFinish(double max_dist, double* inout, int64_t n) {
+  const __m256d denominator = _mm256_set1_pd(max_dist);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d sim = _mm256_sub_pd(
+        one, _mm256_div_pd(_mm256_sqrt_pd(_mm256_loadu_pd(inout + i)),
+                           denominator));
+    _mm256_storeu_pd(inout + i,
+                     _mm256_min_pd(one, _mm256_max_pd(zero, sim)));
+  }
+  for (; i < n; ++i) {
+    inout[i] = std::clamp(1.0 - std::sqrt(inout[i]) / max_dist, 0.0, 1.0);
+  }
+}
+
 }  // namespace
 
 const KernelTable& Avx2Kernels() {
@@ -263,6 +290,7 @@ const KernelTable& Avx2Kernels() {
       /*dot_norm_fma=*/DotNormBlockFma,
       /*va_lower_bound=*/VaLowerBoundBlock,
       /*relax_row=*/RelaxRow,
+      /*euclidean_finish=*/EuclideanFinish,
   };
   return table;
 }

@@ -4,8 +4,12 @@
 // rounds twice, exactly like the per-pair loops in core/similarity.cc —
 // which is what the strict-mode bit-identity contract (kernels.h) needs.
 // The compiler is free to auto-vectorize these loops: lanes are rows, so
-// any lane width produces the same per-row arithmetic. RelaxRow, the one
-// whole-row kernel, has no multiply at all.
+// any lane width produces the same per-row arithmetic. Of the two
+// whole-row kernels, RelaxRow has no multiply at all and the Euclidean
+// finisher is EuclideanSimilarity::Compute's own tail.
+
+#include <algorithm>
+#include <cmath>
 
 #include "simd/kernels.h"
 
@@ -100,6 +104,12 @@ int64_t RelaxRow(const double* cost, double tail_potential,
                                    improved, n);
 }
 
+void EuclideanFinish(double max_dist, double* inout, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    inout[i] = std::clamp(1.0 - std::sqrt(inout[i]) / max_dist, 0.0, 1.0);
+  }
+}
+
 }  // namespace
 
 const KernelTable& ScalarKernels() {
@@ -112,6 +122,7 @@ const KernelTable& ScalarKernels() {
       /*dot_norm_fma=*/DotNormBlock,
       /*va_lower_bound=*/VaLowerBoundBlock,
       /*relax_row=*/RelaxRow,
+      /*euclidean_finish=*/EuclideanFinish,
   };
   return table;
 }

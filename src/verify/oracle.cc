@@ -529,11 +529,8 @@ std::string CheckWalRecovery(const CampaignConfig& config, uint64_t index) {
   return detail;
 }
 
-// Writes to `to` the WAL at `from` with its epoch-0 instance under a
-// similarity of twice the parameter (T for the campaign's Euclidean
-// traces). Every similarity moves, so a full replay lands on another
-// arrangement, yet every logged mutation still applies: same ids and
-// dimension, attributes still within [0, 2T]. "" on success.
+}  // namespace
+
 std::string WriteDecoyWal(const std::string& from, const std::string& to) {
   std::string error;
   const std::optional<svc::WalContents> log = svc::ReadWal(from, &error);
@@ -565,6 +562,8 @@ std::string WriteDecoyWal(const std::string& from, const std::string& to) {
   writer.Close();
   return written ? "" : "cannot write the decoy WAL";
 }
+
+namespace {
 
 // Checkpoint + WAL-suffix differential. A service runs the first half of
 // a trace with a paged checkpoint and stops, which checkpoints it; it is

@@ -173,6 +173,16 @@ struct CampaignResult {
 // The deterministic campaign family: instance `index` under `config.seed`.
 Instance MakeCampaignInstance(const CampaignConfig& config, uint64_t index);
 
+// Writes to `to` the WAL at `from` with its epoch-0 instance under a
+// similarity of twice the parameter (T for Euclidean instances). Every
+// similarity moves, so a full replay lands on another arrangement, yet
+// every logged mutation still applies: same ids and dimension, attributes
+// still within [0, 2T]. Recovery from a checkpoint plus this log's suffix
+// lands where recovery from the real log does, so a decoy shows that a
+// recovery read the checkpoint without reading a stats counter (which
+// GEACC_NO_STATS compiles out). "" on success, else what failed.
+std::string WriteDecoyWal(const std::string& from, const std::string& to);
+
 // Runs the full campaign. `log` (may be null) receives one progress line
 // per 50 instances plus one line per failure.
 CampaignResult RunCampaign(const CampaignConfig& config,

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -451,6 +452,128 @@ TEST(Index, SeatFilterWithPositiveSeatsIsThePlainCursor) {
         << name;
   }
   EXPECT_GT(plain_stats.counters["index.linear.refills"], 4);
+#endif
+}
+
+// ------------------------------------------------ refill floor selection ---
+//
+// A refill picks a similarity floor off a strided sample of the eligible
+// points (every (batch / 8)-th point from id 0, so every sampled id is a
+// multiple of 8), keeps the eligible points at or above it, and reruns
+// with no floor when fewer than `batch` clear it. Each case below drives
+// one corner of that against the full order of the points it may return.
+
+// (id, similarity bits) of every point with keep(id), sorted by
+// similarity descending, then id ascending.
+template <typename Keep>
+std::vector<std::pair<int, uint64_t>> FullSort(const AttributeMatrix& points,
+                                               const SimilarityFunction& sim,
+                                               const double* query,
+                                               Keep keep) {
+  std::vector<Neighbor> all;
+  for (int i = 0; i < points.rows(); ++i) {
+    if (keep(i)) all.push_back({i, sim.Compute(query, points.Row(i),
+                                               points.dim())});
+  }
+  std::sort(all.begin(), all.end(), [](const Neighbor& a, const Neighbor& b) {
+    if (a.similarity != b.similarity) return a.similarity > b.similarity;
+    return a.id < b.id;
+  });
+  std::vector<std::pair<int, uint64_t>> out;
+  for (const Neighbor& n : all) {
+    out.emplace_back(n.id, std::bit_cast<uint64_t>(n.similarity));
+  }
+  return out;
+}
+
+#if !defined(GEACC_NO_STATS)
+int64_t FloorReruns(const obs::StatsSnapshot& stats) {
+  const auto it = stats.counters.find("index.linear.floor_reruns");
+  return it == stats.counters.end() ? 0 : it->second;
+}
+#endif
+
+// Seats are 0 at every multiple of 8, so no refill's sample sees an
+// eligible point and none may pick a floor from it.
+TEST(LinearRefillFloor, SampleSeesNoEligiblePoint) {
+  const AttributeMatrix points = RandomPoints(3000, 4, 93);
+  const EuclideanSimilarity sim(100.0);
+  const LinearScanIndex index(points, sim);
+  std::vector<int> seats(points.rows());
+  for (int i = 0; i < points.rows(); ++i) seats[i] = i % 8 == 0 ? 0 : 1;
+  const double* query = points.Row(5);
+  const auto cursor = index.CreateCursor(query, seats);
+  EXPECT_EQ(Drain(*cursor),
+            FullSort(points, sim, query, [](int i) { return i % 8 != 0; }));
+}
+
+// 1-d integer points at distance 0..8 from the query: nine similarities,
+// each held by ~333 ids. Every floor lands on one of them, so the batch
+// boundary cuts a tie, which must break by id. A floor at a tied value
+// lets the whole tie through, so no refill reruns; a strict `>` floor
+// test would leave the tie out and rerun.
+TEST(LinearRefillFloor, FloorOnATieBreaksById) {
+  AttributeMatrix points(3000, 1);
+  for (int i = 0; i < points.rows(); ++i) {
+    points.Set(i, 0, static_cast<double>((i * 7) % 9));
+  }
+  const EuclideanSimilarity sim(100.0);
+  const LinearScanIndex index(points, sim);
+  const double query[] = {0.0};
+  const obs::StatsScope scope;
+  const auto plain = Drain(*index.CreateCursor(query));
+  std::vector<int> seats(points.rows(), 1);
+  const auto filtered = Drain(*index.CreateCursor(query, seats));
+  const obs::StatsSnapshot stats = scope.Harvest();
+  const auto expected = FullSort(points, sim, query, [](int) { return true; });
+  EXPECT_EQ(plain, expected);
+  EXPECT_EQ(filtered, expected);
+  std::set<uint64_t> distinct;
+  for (const auto& [id, bits] : expected) distinct.insert(bits);
+  EXPECT_EQ(distinct.size(), 9u);
+#if !defined(GEACC_NO_STATS)
+  EXPECT_GT(stats.counters.at("index.linear.refills"), 10);
+  EXPECT_EQ(FloorReruns(stats), 0);
+#endif
+}
+
+// After the first batch every seat off a multiple of 8 falls to 0. The
+// sample (multiples of 16 and up) then sees only eligible points, so
+// each floor is set for ~8× more eligible points than there are and
+// fewer than `batch` clear it: each such refill must rerun with no floor.
+TEST(LinearRefillFloor, SeatsFallingBetweenRefillsForceARerun) {
+  const AttributeMatrix points = RandomPoints(4096, 4, 94);
+  const EuclideanSimilarity sim(100.0);
+  const LinearScanIndex index(points, sim);
+  const double* query = points.Row(17);
+  std::vector<int> seats(points.rows(), 1);
+  const obs::StatsScope scope;
+  const auto cursor = index.CreateCursor(query, seats);
+  std::vector<std::pair<int, uint64_t>> got;
+  std::set<int> first_batch;
+  for (int step = 0; step < 64; ++step) {
+    const auto next = cursor->Next();
+    ASSERT_TRUE(next.has_value());
+    got.emplace_back(next->id, std::bit_cast<uint64_t>(next->similarity));
+    first_batch.insert(next->id);
+  }
+  for (int i = 0; i < points.rows(); ++i) {
+    if (i % 8 != 0) seats[i] = 0;
+  }
+  const auto rest = Drain(*cursor);
+  got.insert(got.end(), rest.begin(), rest.end());
+  const obs::StatsSnapshot stats = scope.Harvest();
+
+  auto expected = FullSort(points, sim, query,
+                           [&](int i) { return first_batch.contains(i); });
+  const auto after = FullSort(points, sim, query, [&](int i) {
+    return i % 8 == 0 && !first_batch.contains(i);
+  });
+  expected.insert(expected.end(), after.begin(), after.end());
+  EXPECT_EQ(got, expected);
+  EXPECT_GT(after.size(), 256u);
+#if !defined(GEACC_NO_STATS)
+  EXPECT_GT(FloorReruns(stats), 0);
 #endif
 }
 

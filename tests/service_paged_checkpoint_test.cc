@@ -1,10 +1,12 @@
 // Paged-checkpoint recovery (DESIGN.md §14): checkpoint + WAL-suffix
 // replay must land on the exact state full WAL replay lands on — same
 // pairs, bit-identical MaxSum — and keep doing so as the recovered
-// service continues serving. Torn checkpoints degrade to full replay.
+// service continues serving. A decoy WAL shows the checkpoint was read,
+// with or without stats. Torn checkpoints degrade to full replay.
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -19,6 +21,7 @@
 #include "svc/service.h"
 #include "svc/snapshot.h"
 #include "util/rng.h"
+#include "verify/oracle.h"
 
 namespace geacc::svc {
 namespace {
@@ -110,15 +113,49 @@ TEST(PagedCheckpointRecovery, MatchesFullReplayBitForBit) {
     before = StateOf(service);
   }
 
-  // Fast path: checkpoint + suffix.
+  // Recovery reads the checkpoint, shown in every build (no stats
+  // counter): a decoy WAL logs the same mutations over the instance under
+  // a doubled similarity parameter, beside a copy of the checkpoint. A
+  // full replay of the decoy lands elsewhere, so a recovery that ignored
+  // the checkpoint would not reach `before`.
   std::string error;
+  ServiceOptions decoy = options;
+  decoy.wal_path = TempPath("svc_paged_recover_decoy.wal");
+  decoy.paged_checkpoint_path = TempPath("svc_paged_recover_decoy.ckpt");
+  ASSERT_EQ(verify::WriteDecoyWal(options.wal_path, decoy.wal_path), "");
+  std::filesystem::copy_file(
+      options.paged_checkpoint_path, decoy.paged_checkpoint_path,
+      std::filesystem::copy_options::overwrite_existing);
+  {
+    ServiceOptions decoy_replay = decoy;
+    decoy_replay.paged_checkpoint_path.clear();
+    auto replayed = ArrangementService::Recover(decoy_replay, &error);
+    ASSERT_NE(replayed, nullptr) << error;
+    ASSERT_NE(StateOf(*replayed).max_sum, before.max_sum)
+        << "a full replay of the decoy WAL reaches the same MaxSum, so it "
+           "cannot show which path recovery took";
+    auto recovered = ArrangementService::Recover(decoy, &error);
+    ASSERT_NE(recovered, nullptr) << error;
+    const FinalState decoy_state = StateOf(*recovered);
+    EXPECT_EQ(decoy_state.pairs, before.pairs)
+        << "recovery replayed the WAL prefix its checkpoint covers";
+    EXPECT_EQ(decoy_state.max_sum, before.max_sum);
+    EXPECT_EQ(decoy_state.epoch, before.epoch);
+  }
+  CleanUp(decoy);
+
+  // Fast path: checkpoint + suffix.
+#if !defined(GEACC_NO_STATS)
   const int64_t recoveries_before =
       obs::StatsRegistry::Global().CounterValue("svc.ckpt.recoveries");
+#endif
   auto fast = ArrangementService::Recover(options, &error);
   ASSERT_NE(fast, nullptr) << error;
+#if !defined(GEACC_NO_STATS)
   EXPECT_EQ(obs::StatsRegistry::Global().CounterValue("svc.ckpt.recoveries"),
             recoveries_before + 1)
       << "recovery did not take the checkpoint fast path";
+#endif
   const FinalState fast_state = StateOf(*fast);
   EXPECT_EQ(fast_state.pairs, before.pairs);
   EXPECT_EQ(fast_state.max_sum, before.max_sum);

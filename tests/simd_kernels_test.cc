@@ -144,9 +144,9 @@ TEST(BlockedAttributes, CopyAndMoveStartCold) {
 
 // Builds a fn × dim × rows × level sweep and pins ComputeBatch(strict)
 // bitwise to the per-pair Compute path.
-void CheckStrictIdentity(const AttributeMatrix& m,
-                         const std::vector<double>& query,
-                         const std::string& tag) {
+void CheckStrictIdentityOn(const AttributeMatrix& m,
+                           const std::vector<double>& query,
+                           const std::string& tag) {
   const struct {
     const char* name;
     double param;
@@ -173,6 +173,33 @@ void CheckStrictIdentity(const AttributeMatrix& m,
   }
   std::string error;
   ASSERT_TRUE(simd::SetDispatchOverride("auto", &error)) << error;
+}
+
+// The sweep on `m`, then on `m` plus three rows that reach both branches
+// of the Euclidean finisher's clamp: one equal to the query (similarity
+// exactly 1) and two 2T off it on either side, outside [0, T] (1 − 2
+// clamps to 0). Appended after the shape's own rows, they fall in
+// different lanes as the row count varies.
+void CheckStrictIdentity(const AttributeMatrix& m,
+                         const std::vector<double>& query,
+                         const std::string& tag) {
+  CheckStrictIdentityOn(m, query, tag);
+  constexpr double kT = 100.0;  // the Euclidean parameter of the sweep
+  AttributeMatrix clamped = m;
+  for (const double offset : {0.0, 2.0 * kT, -2.0 * kT}) {
+    std::vector<double> row = query;
+    for (double& x : row) x += offset;
+    clamped.AppendRow(row);
+  }
+  const int rows = clamped.rows();
+  const EuclideanSimilarity euclidean(kT);
+  ASSERT_EQ(euclidean.Compute(query.data(), clamped.Row(rows - 3), m.dim()),
+            1.0);
+  ASSERT_EQ(euclidean.Compute(query.data(), clamped.Row(rows - 2), m.dim()),
+            0.0);
+  ASSERT_EQ(euclidean.Compute(query.data(), clamped.Row(rows - 1), m.dim()),
+            0.0);
+  CheckStrictIdentityOn(clamped, query, tag + "+clamp-rows");
 }
 
 TEST(BatchKernels, StrictBitIdenticalAcrossShapes) {
