@@ -38,7 +38,10 @@ int main() {
               stats.active_events, stats.active_users,
               static_cast<long long>(stats.pairs), stats.max_sum);
 
-  // Reads are one atomic snapshot load — no locks, any thread.
+  // The client speaks the wire protocol without a socket: the frames,
+  // checks and answers of a SocketClient. Underneath, a read is one
+  // atomic snapshot load — no locks, any thread; service.GetAssignments
+  // does that load without the codec.
   std::vector<geacc::EventId> events;
   client.GetAssignments(/*user=*/7, &events);
   std::printf("user 7 attends %zu events:", events.size());

@@ -80,29 +80,6 @@ RpcStatus ShardCoordinator::DeliverLogged(int shard, size_t index,
 
 std::string ShardCoordinator::SendMutation(int shard,
                                            const Mutation& local_mutation) {
-  if (!options_.track_mutation_log) {
-    // No resend log: deliver once, absorbing only backpressure.
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(options_.overload_retry_ms);
-    for (;;) {
-      int64_t ticket = -1;
-      const RpcStatus status = Timed(shard, [&] {
-        return clients_[shard]->Mutate(local_mutation, &ticket);
-      });
-      ++sent_count_[shard];
-      if (status == RpcStatus::kOk) return "";
-      --sent_count_[shard];
-      if (status == RpcStatus::kOverloaded &&
-          std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(kPollInterval);
-        continue;
-      }
-      return StrFormat("shard %d: mutate failed (%s): %s", shard,
-                       RpcStatusName(status),
-                       clients_[shard]->last_error().c_str());
-    }
-  }
-
   // Log-first so an unknown-outcome transport failure is recoverable: the
   // resync path resends exactly the suffix the shard's recovered epoch
   // says it is missing — this mutation included iff its apply was lost.
@@ -154,10 +131,6 @@ std::string ShardCoordinator::RecoverShard(int shard) {
   if (!reconnect_fn_) {
     return StrFormat("shard %d: connection lost and no reconnect function "
                      "installed", shard);
-  }
-  if (!options_.track_mutation_log) {
-    return StrFormat("shard %d: connection lost and the mutation log is "
-                     "disabled — cannot resync", shard);
   }
   GEACC_LOG(WARNING) << "shard " << shard
                      << ": connection lost, reconnecting";
@@ -372,6 +345,19 @@ std::string ShardCoordinator::ApplyInstance(const Instance& instance) {
   return "";
 }
 
+std::string ShardCoordinator::RetriedRead(
+    int shard, const char* op_name, const std::function<RpcStatus()>& op) {
+  RpcStatus status = Timed(shard, op);
+  if (IsTransportFailure(status)) {
+    const std::string error = RecoverShard(shard);
+    if (!error.empty()) return error;
+    status = Timed(shard, op);
+  }
+  if (status == RpcStatus::kOk) return "";
+  return StrFormat("shard %d: %s failed: %s", shard, op_name,
+                   clients_[shard]->last_error().c_str());
+}
+
 std::string ShardCoordinator::GetAssignmentsLocked(UserId user,
                                                    std::vector<EventId>* out) {
   out->clear();
@@ -380,20 +366,10 @@ std::string ShardCoordinator::GetAssignmentsLocked(UserId user,
   }
   if (!mirror_.user_active(user)) return "";
   const ShardMap::Placement placement = map_.UserHome(user);
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const RpcStatus status = Timed(placement.shard, [&] {
-      return clients_[placement.shard]->GetAssignments(placement.local, out);
-    });
-    if (status == RpcStatus::kOk) return "";  // event ids are global already
-    if (IsTransportFailure(status) && attempt == 0) {
-      const std::string error = RecoverShard(placement.shard);
-      if (!error.empty()) return error;
-      continue;
-    }
-    return StrFormat("shard %d: get_assignments failed: %s", placement.shard,
-                     clients_[placement.shard]->last_error().c_str());
-  }
-  return "unreachable";
+  // Event ids are global already.
+  return RetriedRead(placement.shard, "get_assignments", [&] {
+    return clients_[placement.shard]->GetAssignments(placement.local, out);
+  });
 }
 
 std::string ShardCoordinator::GetAttendeesLocked(EventId event,
@@ -405,19 +381,10 @@ std::string ShardCoordinator::GetAttendeesLocked(EventId event,
   if (!mirror_.event_active(event)) return "";
   for (int shard = 0; shard < num_shards(); ++shard) {
     std::vector<UserId> locals;
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      const RpcStatus status = Timed(shard, [&] {
-        return clients_[shard]->GetAttendees(event, &locals);
-      });
-      if (status == RpcStatus::kOk) break;
-      if (IsTransportFailure(status) && attempt == 0) {
-        const std::string error = RecoverShard(shard);
-        if (!error.empty()) return error;
-        continue;
-      }
-      return StrFormat("shard %d: get_attendees failed: %s", shard,
-                       clients_[shard]->last_error().c_str());
-    }
+    const std::string error = RetriedRead(shard, "get_attendees", [&] {
+      return clients_[shard]->GetAttendees(event, &locals);
+    });
+    if (!error.empty()) return error;
     for (const UserId local : locals) {
       const int32_t global = map_.ToGlobalUser(shard, local);
       if (global < 0) {
@@ -475,19 +442,10 @@ std::string ShardCoordinator::TopKEventsLocked(
     const int32_t local = shard == placement.shard ? placement.local : -1;
     if (local < 0) continue;
     std::vector<svc::ScoredEvent> list;
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      const RpcStatus status = Timed(shard, [&] {
-        return clients_[shard]->TopKEvents(local, k, &list);
-      });
-      if (status == RpcStatus::kOk) break;
-      if (IsTransportFailure(status) && attempt == 0) {
-        const std::string error = RecoverShard(shard);
-        if (!error.empty()) return error;
-        continue;
-      }
-      return StrFormat("shard %d: top_k failed: %s", shard,
-                       clients_[shard]->last_error().c_str());
-    }
+    const std::string error = RetriedRead(shard, "top_k", [&] {
+      return clients_[shard]->TopKEvents(local, k, &list);
+    });
+    if (!error.empty()) return error;
     lists.push_back(std::move(list));
   }
   *out = MergeScoredLists(lists, k);

@@ -86,11 +86,6 @@ struct CoordinatorOptions {
   // Barrier wait bound (a shard that cannot catch up within this is
   // stuck, not slow).
   int barrier_timeout_ms = 30000;
-
-  // Keep the per-shard sent-mutation log for failover resend. Costs
-  // O(history) memory, so long-lived serve deployments without failover
-  // handling can turn it off (a lost connection then fails fast).
-  bool track_mutation_log = true;
 };
 
 class ShardCoordinator {
@@ -204,6 +199,12 @@ class ShardCoordinator {
 
   // Polls shard `shard` until its epoch >= target.
   std::string BarrierShard(int shard, int64_t target_epoch);
+
+  // Runs the read `op` against `shard`; after a transport failure it
+  // recovers the shard once and runs `op` again. Empty string on success,
+  // else "shard <shard>: <op_name> failed: <last_error>".
+  std::string RetriedRead(int shard, const char* op_name,
+                          const std::function<svc::RpcStatus()>& op);
 
   std::string GetAssignmentsLocked(UserId user, std::vector<EventId>* out);
   std::string GetAttendeesLocked(EventId event, std::vector<UserId>* out);

@@ -8,45 +8,14 @@
 
 #include <cerrno>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "io/trace_io.h"
-#include "svc/wire.h"
+#include "svc/server.h"
 #include "util/string_util.h"
 
 namespace geacc::svc {
-namespace {
-
-bool ReadFull(int fd, void* data, size_t size) {
-  auto* bytes = static_cast<char*>(data);
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = read(fd, bytes + done, size - done);
-    if (n == 0) return false;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool WriteFull(int fd, const void* data, size_t size) {
-  const auto* bytes = static_cast<const char*>(data);
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = send(fd, bytes + done, size - done, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 const char* RpcStatusName(RpcStatus status) {
   switch (status) {
@@ -64,89 +33,149 @@ const char* RpcStatusName(RpcStatus status) {
   return "unknown";
 }
 
-// ----- InProcessClient -----
+// ----- ServiceClient: the nine requests, once -----
 
-RpcStatus InProcessClient::Ping() { return RpcStatus::kOk; }
-
-RpcStatus InProcessClient::GetAssignments(UserId user,
-                                          std::vector<EventId>* out) {
-  if (service_->GetAssignments(user, out) != SvcStatus::kOk) {
-    last_error_ = StrFormat("user id %d out of range", user);
+RpcStatus ServiceClient::Call(const WireRequest& request, MsgType expected,
+                              WireResponse* response) {
+  const std::string frame = EncodeRequestFrame(request);
+  if (frame.size() > kMaxFrameBytes + 4) {
+    last_error_ = StrFormat("request frame of %zu bytes exceeds the %u-byte "
+                            "wire cap", frame.size(),
+                            static_cast<unsigned>(kMaxFrameBytes));
+    return RpcStatus::kProtocolError;
+  }
+  std::string body;
+  const RpcStatus status = Exchange(frame, &body);
+  if (status != RpcStatus::kOk) return status;
+  std::string decode_error;
+  if (!DecodeResponse(reinterpret_cast<const uint8_t*>(body.data()),
+                      body.size(), response, &decode_error)) {
+    last_error_ = "bad reply: " + decode_error;
+    DropConnection();
+    return RpcStatus::kProtocolError;
+  }
+  if (response->type == expected) return RpcStatus::kOk;
+  if (response->type == MsgType::kError) {
+    last_error_ = response->message;
     return RpcStatus::kServerError;
   }
-  return RpcStatus::kOk;
-}
-
-RpcStatus InProcessClient::GetAttendees(EventId event,
-                                        std::vector<UserId>* out) {
-  if (service_->GetAttendees(event, out) != SvcStatus::kOk) {
-    last_error_ = StrFormat("event id %d out of range", event);
-    return RpcStatus::kServerError;
+  // Backpressure is an answer only to a write: Mutate and
+  // InstallArrangement both expect a kMutateAck.
+  if (response->type == MsgType::kOverloaded &&
+      expected == MsgType::kMutateAck) {
+    last_error_ = "service overloaded";
+    return RpcStatus::kOverloaded;
   }
-  return RpcStatus::kOk;
+  last_error_ =
+      StrFormat("unexpected reply type %s", MsgTypeName(response->type));
+  return RpcStatus::kProtocolError;
 }
 
-RpcStatus InProcessClient::TopKEvents(UserId user, int k,
-                                      std::vector<ScoredEvent>* out) {
-  if (service_->TopKEvents(user, k, out) != SvcStatus::kOk) {
-    last_error_ = StrFormat("bad top-k query (user %d, k %d)", user, k);
-    return RpcStatus::kServerError;
-  }
-  return RpcStatus::kOk;
+RpcStatus ServiceClient::Ping() {
+  WireResponse response;
+  return Call({.type = MsgType::kPing}, MsgType::kPong, &response);
 }
 
-RpcStatus InProcessClient::GetStats(ServiceStatsView* out) {
-  *out = service_->Stats();
-  return RpcStatus::kOk;
+RpcStatus ServiceClient::GetAssignments(UserId user,
+                                        std::vector<EventId>* out) {
+  WireResponse response;
+  const RpcStatus status =
+      Call({.type = MsgType::kGetAssignments, .id = user}, MsgType::kIdList,
+           &response);
+  if (status == RpcStatus::kOk) *out = std::move(response.ids);
+  return status;
 }
 
-RpcStatus InProcessClient::Mutate(const Mutation& mutation, int64_t* ticket) {
-  const SubmitResult result = service_->Submit(mutation);
-  switch (result.status) {
-    case SvcStatus::kOk:
-      if (ticket != nullptr) *ticket = result.ticket;
-      return RpcStatus::kOk;
-    case SvcStatus::kOverloaded:
-      last_error_ = "service overloaded";
-      return RpcStatus::kOverloaded;
-    default:
-      last_error_ = std::string("submit failed: ") +
-                    SvcStatusName(result.status);
-      return RpcStatus::kServerError;
-  }
+RpcStatus ServiceClient::GetAttendees(EventId event,
+                                      std::vector<UserId>* out) {
+  WireResponse response;
+  const RpcStatus status =
+      Call({.type = MsgType::kGetAttendees, .id = event}, MsgType::kIdList,
+           &response);
+  if (status == RpcStatus::kOk) *out = std::move(response.ids);
+  return status;
 }
 
-RpcStatus InProcessClient::Candidates(UserId first_user, int user_count,
-                                      std::vector<ScoredCandidate>* out) {
-  if (service_->Candidates(first_user, user_count, out) != SvcStatus::kOk) {
-    last_error_ = StrFormat("bad candidates query (first %d, count %d)",
-                            first_user, user_count);
-    return RpcStatus::kServerError;
-  }
-  return RpcStatus::kOk;
+RpcStatus ServiceClient::TopKEvents(UserId user, int k,
+                                    std::vector<ScoredEvent>* out) {
+  WireResponse response;
+  const RpcStatus status =
+      Call({.type = MsgType::kTopK, .id = user, .k = k},
+           MsgType::kScoredList, &response);
+  if (status == RpcStatus::kOk) *out = std::move(response.scored);
+  return status;
 }
 
-RpcStatus InProcessClient::InstallArrangement(
+RpcStatus ServiceClient::GetStats(ServiceStatsView* out) {
+  WireResponse response;
+  const RpcStatus status =
+      Call({.type = MsgType::kStats}, MsgType::kStatsReply, &response);
+  if (status == RpcStatus::kOk) *out = response.stats;
+  return status;
+}
+
+RpcStatus ServiceClient::Mutate(const Mutation& mutation, int64_t* ticket) {
+  WireResponse response;
+  const RpcStatus status =
+      Call({.type = MsgType::kMutate, .payload = FormatMutationLine(mutation)},
+           MsgType::kMutateAck, &response);
+  if (status == RpcStatus::kOk && ticket != nullptr) *ticket = response.ticket;
+  return status;
+}
+
+RpcStatus ServiceClient::Candidates(UserId first_user, int user_count,
+                                    std::vector<ScoredCandidate>* out) {
+  WireResponse response;
+  const RpcStatus status =
+      Call({.type = MsgType::kCandidates, .id = first_user, .k = user_count},
+           MsgType::kCandidateList, &response);
+  if (status == RpcStatus::kOk) *out = std::move(response.candidates);
+  return status;
+}
+
+RpcStatus ServiceClient::InstallArrangement(
     const std::vector<std::pair<EventId, UserId>>& pairs,
     uint64_t max_sum_bits, int64_t* ticket) {
-  const SubmitResult result = service_->SubmitInstall(pairs, max_sum_bits);
-  switch (result.status) {
-    case SvcStatus::kOk:
-      if (ticket != nullptr) *ticket = result.ticket;
-      return RpcStatus::kOk;
-    case SvcStatus::kOverloaded:
-      last_error_ = "service overloaded";
-      return RpcStatus::kOverloaded;
-    default:
-      last_error_ = std::string("install failed: ") +
-                    SvcStatusName(result.status);
-      return RpcStatus::kServerError;
-  }
+  WireResponse response;
+  const RpcStatus status = Call({.type = MsgType::kInstallArrangement,
+                                 .pairs = pairs,
+                                 .max_sum_bits = max_sum_bits},
+                                MsgType::kMutateAck, &response);
+  if (status == RpcStatus::kOk && ticket != nullptr) *ticket = response.ticket;
+  return status;
 }
 
-RpcStatus InProcessClient::GetShardStats(ShardTopologyStats* /*out*/) {
-  last_error_ = "shard stats: not a coordinator";
-  return RpcStatus::kServerError;
+RpcStatus ServiceClient::GetShardStats(ShardTopologyStats* out) {
+  WireResponse response;
+  const RpcStatus status =
+      Call({.type = MsgType::kShardStats}, MsgType::kShardStatsReply,
+           &response);
+  if (status == RpcStatus::kOk) *out = std::move(response.shard_stats);
+  return status;
+}
+
+// ----- InProcessClient -----
+
+RpcStatus InProcessClient::Exchange(const std::string& request_frame,
+                                    std::string* reply_body) {
+  // Call() capped the request, so its prefix is in range: answer the body
+  // as a ServiceServer connection would, then hold the reply to the same
+  // cap SocketClient reads it under.
+  std::string reply;
+  AnswerFrame(std::string_view(request_frame).substr(4),
+              [this](const WireRequest& request) {
+                return DispatchToService(service_, request);
+              },
+              &reply);
+  uint32_t length = 0;
+  if (!ParseFrameLength(reply, &length)) {
+    last_error_ = StrFormat("reply frame length %u out of range",
+                            static_cast<unsigned>(length));
+    return RpcStatus::kProtocolError;
+  }
+  reply.erase(0, 4);
+  *reply_body = std::move(reply);
+  return RpcStatus::kOk;
 }
 
 // ----- SocketClient -----
@@ -197,206 +226,32 @@ bool SocketClient::Connect(const std::string& host, int port,
   return true;
 }
 
-RpcStatus SocketClient::RoundTrip(const WireRequest& request,
-                                  WireResponse* response) {
+RpcStatus SocketClient::Exchange(const std::string& request_frame,
+                                 std::string* reply_body) {
   if (fd_ < 0) {
     last_error_ = "not connected";
     return RpcStatus::kNetworkError;
   }
-  const std::string frame = EncodeRequestFrame(request);
-  if (frame.size() > kMaxFrameBytes + 4) {
-    last_error_ = StrFormat("request frame of %zu bytes exceeds the %u-byte "
-                            "wire cap", frame.size(),
-                            static_cast<unsigned>(kMaxFrameBytes));
-    return RpcStatus::kProtocolError;
-  }
-  if (!WriteFull(fd_, frame.data(), frame.size())) {
+  if (!WriteFull(fd_, request_frame)) {
     last_error_ = "write failed";
     Disconnect();
     return RpcStatus::kNetworkError;
   }
-  uint8_t prefix[4];
-  if (!ReadFull(fd_, prefix, sizeof(prefix))) {
-    last_error_ = "read failed";
-    Disconnect();
-    return RpcStatus::kNetworkError;
-  }
   uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<uint32_t>(prefix[i]) << (8 * i);
+  switch (ReadFrame(fd_, reply_body, &length)) {
+    case FrameRead::kOk:
+      return RpcStatus::kOk;
+    case FrameRead::kClosed:
+      last_error_ = "read failed";
+      Disconnect();
+      return RpcStatus::kNetworkError;
+    case FrameRead::kBadLength:
+      break;
   }
-  if (length < 2 || length > kMaxFrameBytes) {
-    last_error_ = StrFormat("reply frame length %u out of range",
-                            static_cast<unsigned>(length));
-    Disconnect();
-    return RpcStatus::kProtocolError;
-  }
-  std::string body(length, '\0');
-  if (!ReadFull(fd_, body.data(), body.size())) {
-    last_error_ = "read failed";
-    Disconnect();
-    return RpcStatus::kNetworkError;
-  }
-  std::string decode_error;
-  if (!DecodeResponse(reinterpret_cast<const uint8_t*>(body.data()),
-                      body.size(), response, &decode_error)) {
-    last_error_ = "bad reply: " + decode_error;
-    Disconnect();
-    return RpcStatus::kProtocolError;
-  }
-  if (response->type == MsgType::kError) {
-    last_error_ = response->message;
-    return RpcStatus::kServerError;
-  }
-  return RpcStatus::kOk;
-}
-
-namespace {
-
-// A reply decoded fine but is not the type this call expects.
-RpcStatus UnexpectedReply(MsgType got, std::string* last_error) {
-  *last_error = StrFormat("unexpected reply type %s", MsgTypeName(got));
+  last_error_ = StrFormat("reply frame length %u out of range",
+                          static_cast<unsigned>(length));
+  Disconnect();
   return RpcStatus::kProtocolError;
-}
-
-}  // namespace
-
-RpcStatus SocketClient::Ping() {
-  WireRequest request;
-  request.type = MsgType::kPing;
-  WireResponse response;
-  const RpcStatus status = RoundTrip(request, &response);
-  if (status != RpcStatus::kOk) return status;
-  if (response.type != MsgType::kPong) {
-    return UnexpectedReply(response.type, &last_error_);
-  }
-  return RpcStatus::kOk;
-}
-
-RpcStatus SocketClient::GetAssignments(UserId user,
-                                       std::vector<EventId>* out) {
-  WireRequest request;
-  request.type = MsgType::kGetAssignments;
-  request.id = user;
-  WireResponse response;
-  const RpcStatus status = RoundTrip(request, &response);
-  if (status != RpcStatus::kOk) return status;
-  if (response.type != MsgType::kIdList) {
-    return UnexpectedReply(response.type, &last_error_);
-  }
-  *out = std::move(response.ids);
-  return RpcStatus::kOk;
-}
-
-RpcStatus SocketClient::GetAttendees(EventId event, std::vector<UserId>* out) {
-  WireRequest request;
-  request.type = MsgType::kGetAttendees;
-  request.id = event;
-  WireResponse response;
-  const RpcStatus status = RoundTrip(request, &response);
-  if (status != RpcStatus::kOk) return status;
-  if (response.type != MsgType::kIdList) {
-    return UnexpectedReply(response.type, &last_error_);
-  }
-  *out = std::move(response.ids);
-  return RpcStatus::kOk;
-}
-
-RpcStatus SocketClient::TopKEvents(UserId user, int k,
-                                   std::vector<ScoredEvent>* out) {
-  WireRequest request;
-  request.type = MsgType::kTopK;
-  request.id = user;
-  request.k = k;
-  WireResponse response;
-  const RpcStatus status = RoundTrip(request, &response);
-  if (status != RpcStatus::kOk) return status;
-  if (response.type != MsgType::kScoredList) {
-    return UnexpectedReply(response.type, &last_error_);
-  }
-  *out = std::move(response.scored);
-  return RpcStatus::kOk;
-}
-
-RpcStatus SocketClient::GetStats(ServiceStatsView* out) {
-  WireRequest request;
-  request.type = MsgType::kStats;
-  WireResponse response;
-  const RpcStatus status = RoundTrip(request, &response);
-  if (status != RpcStatus::kOk) return status;
-  if (response.type != MsgType::kStatsReply) {
-    return UnexpectedReply(response.type, &last_error_);
-  }
-  *out = response.stats;
-  return RpcStatus::kOk;
-}
-
-RpcStatus SocketClient::Mutate(const Mutation& mutation, int64_t* ticket) {
-  WireRequest request;
-  request.type = MsgType::kMutate;
-  request.payload = FormatMutationLine(mutation);
-  WireResponse response;
-  const RpcStatus status = RoundTrip(request, &response);
-  if (status != RpcStatus::kOk) return status;
-  if (response.type == MsgType::kOverloaded) {
-    last_error_ = "service overloaded";
-    return RpcStatus::kOverloaded;
-  }
-  if (response.type != MsgType::kMutateAck) {
-    return UnexpectedReply(response.type, &last_error_);
-  }
-  if (ticket != nullptr) *ticket = response.ticket;
-  return RpcStatus::kOk;
-}
-
-RpcStatus SocketClient::Candidates(UserId first_user, int user_count,
-                                   std::vector<ScoredCandidate>* out) {
-  WireRequest request;
-  request.type = MsgType::kCandidates;
-  request.id = first_user;
-  request.k = user_count;
-  WireResponse response;
-  const RpcStatus status = RoundTrip(request, &response);
-  if (status != RpcStatus::kOk) return status;
-  if (response.type != MsgType::kCandidateList) {
-    return UnexpectedReply(response.type, &last_error_);
-  }
-  *out = std::move(response.candidates);
-  return RpcStatus::kOk;
-}
-
-RpcStatus SocketClient::InstallArrangement(
-    const std::vector<std::pair<EventId, UserId>>& pairs,
-    uint64_t max_sum_bits, int64_t* ticket) {
-  WireRequest request;
-  request.type = MsgType::kInstallArrangement;
-  request.pairs = pairs;
-  request.max_sum_bits = max_sum_bits;
-  WireResponse response;
-  const RpcStatus status = RoundTrip(request, &response);
-  if (status != RpcStatus::kOk) return status;
-  if (response.type == MsgType::kOverloaded) {
-    last_error_ = "service overloaded";
-    return RpcStatus::kOverloaded;
-  }
-  if (response.type != MsgType::kMutateAck) {
-    return UnexpectedReply(response.type, &last_error_);
-  }
-  if (ticket != nullptr) *ticket = response.ticket;
-  return RpcStatus::kOk;
-}
-
-RpcStatus SocketClient::GetShardStats(ShardTopologyStats* out) {
-  WireRequest request;
-  request.type = MsgType::kShardStats;
-  WireResponse response;
-  const RpcStatus status = RoundTrip(request, &response);
-  if (status != RpcStatus::kOk) return status;
-  if (response.type != MsgType::kShardStatsReply) {
-    return UnexpectedReply(response.type, &last_error_);
-  }
-  *out = std::move(response.shard_stats);
-  return RpcStatus::kOk;
 }
 
 }  // namespace geacc::svc

@@ -16,41 +16,8 @@
 namespace geacc::svc {
 namespace {
 
-// read()/send() with EINTR and short-transfer handling. send() so we can
-// pass MSG_NOSIGNAL — a peer that closed mid-reply must not SIGPIPE the
-// server.
-bool ReadFull(int fd, void* data, size_t size) {
-  auto* bytes = static_cast<char*>(data);
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = read(fd, bytes + done, size - done);
-    if (n == 0) return false;  // peer closed
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool WriteFull(int fd, const void* data, size_t size) {
-  const auto* bytes = static_cast<const char*>(data);
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = send(fd, bytes + done, size - done, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<size_t>(n);
-  }
-  return true;
-}
-
 bool SendResponse(int fd, const WireResponse& response) {
-  const std::string frame = EncodeResponseFrame(response);
-  return WriteFull(fd, frame.data(), frame.size());
+  return WriteFull(fd, EncodeResponseFrame(response));
 }
 
 WireResponse ErrorResponse(std::string message) {
@@ -182,23 +149,18 @@ void WireServer::AcceptLoop() {
 }
 
 void WireServer::ConnectionLoop(size_t slot, int fd) {
+  std::string body;
+  uint32_t length = 0;
   for (;;) {
-    uint8_t prefix[4];
-    if (!ReadFull(fd, prefix, sizeof(prefix))) break;
-    uint32_t length = 0;
-    for (int i = 0; i < 4; ++i) {
-      length |= static_cast<uint32_t>(prefix[i]) << (8 * i);
-    }
-    if (length < 2 || length > kMaxFrameBytes) {
+    const FrameRead read = ReadFrame(fd, &body, &length);
+    if (read == FrameRead::kBadLength) {
       GEACC_STATS_ADD("svc.net.protocol_errors", 1);
       SendResponse(fd, ErrorResponse(StrFormat(
                            "frame length %u out of range",
                            static_cast<unsigned>(length))));
       break;
     }
-    std::string body(length, '\0');
-    if (!ReadFull(fd, body.data(), body.size())) break;
-    if (!HandleFrame(body, fd)) break;
+    if (read != FrameRead::kOk || !HandleFrame(body, fd)) break;
   }
   std::lock_guard<std::mutex> lock(mu_);
   close(fd);
@@ -207,31 +169,46 @@ void WireServer::ConnectionLoop(size_t slot, int fd) {
 
 bool WireServer::HandleFrame(const std::string& frame_body, int fd) {
   GEACC_STATS_ADD("svc.net.requests", 1);
+  std::string reply;
+  const bool decoded = AnswerFrame(frame_body, dispatcher_, &reply);
+  if (!decoded) GEACC_STATS_ADD("svc.net.protocol_errors", 1);
+  // A frame that does not decode gets its kError reply, then the
+  // connection closes: the byte stream can no longer be trusted.
+  return WriteFull(fd, reply) && decoded;
+}
+
+bool AnswerFrame(std::string_view request_body,
+                 const WireServer::Dispatcher& dispatcher,
+                 std::string* reply_frame) {
   WireRequest request;
   std::string decode_error;
-  if (!DecodeRequest(reinterpret_cast<const uint8_t*>(frame_body.data()),
-                     frame_body.size(), &request, &decode_error)) {
-    GEACC_STATS_ADD("svc.net.protocol_errors", 1);
-    SendResponse(fd, ErrorResponse("bad frame: " + decode_error));
-    return false;  // framing is broken — do not trust the byte stream
+  if (!DecodeRequest(reinterpret_cast<const uint8_t*>(request_body.data()),
+                     request_body.size(), &request, &decode_error)) {
+    *reply_frame = EncodeResponseFrame(ErrorResponse("bad frame: " +
+                                                     decode_error));
+    return false;
   }
-  return SendResponse(fd, dispatcher_(request));
+  *reply_frame = EncodeResponseFrame(dispatcher(request));
+  return true;
 }
 
 ServiceServer::ServiceServer(ArrangementService* service,
                              WireServer::Options options)
-    : service_(service),
-      server_([this](const WireRequest& request) { return Dispatch(request); },
-              options) {}
+    : server_(
+          [service](const WireRequest& request) {
+            return DispatchToService(service, request);
+          },
+          options) {}
 
-WireResponse ServiceServer::Dispatch(const WireRequest& request) {
+WireResponse DispatchToService(ArrangementService* service,
+                               const WireRequest& request) {
   WireResponse response;
   switch (request.type) {
     case MsgType::kPing:
       response.type = MsgType::kPong;
       return response;
     case MsgType::kGetAssignments: {
-      if (service_->GetAssignments(request.id, &response.ids) !=
+      if (service->GetAssignments(request.id, &response.ids) !=
           SvcStatus::kOk) {
         return ErrorResponse(StrFormat("user id %d out of range",
                                        request.id));
@@ -240,7 +217,7 @@ WireResponse ServiceServer::Dispatch(const WireRequest& request) {
       return response;
     }
     case MsgType::kGetAttendees: {
-      if (service_->GetAttendees(request.id, &response.ids) !=
+      if (service->GetAttendees(request.id, &response.ids) !=
           SvcStatus::kOk) {
         return ErrorResponse(StrFormat("event id %d out of range",
                                        request.id));
@@ -249,7 +226,7 @@ WireResponse ServiceServer::Dispatch(const WireRequest& request) {
       return response;
     }
     case MsgType::kTopK: {
-      if (service_->TopKEvents(request.id, request.k, &response.scored) !=
+      if (service->TopKEvents(request.id, request.k, &response.scored) !=
           SvcStatus::kOk) {
         return ErrorResponse(StrFormat("bad top-k query (user %d, k %d)",
                                        request.id, request.k));
@@ -259,12 +236,12 @@ WireResponse ServiceServer::Dispatch(const WireRequest& request) {
     }
     case MsgType::kStats:
       response.type = MsgType::kStatsReply;
-      response.stats = service_->Stats();
+      response.stats = service->Stats();
       return response;
     case MsgType::kMutate: {
       std::string parse_error;
       const std::shared_ptr<const ServiceSnapshot> snap =
-          service_->snapshot();
+          service->snapshot();
       std::optional<Mutation> mutation =
           ParseMutationLine(request.payload, snap->dim(), &parse_error);
       if (!mutation) {
@@ -277,7 +254,7 @@ WireResponse ServiceServer::Dispatch(const WireRequest& request) {
       if (!problem.empty()) {
         return ErrorResponse("bad mutation: " + problem);
       }
-      const SubmitResult result = service_->Submit(std::move(*mutation));
+      const SubmitResult result = service->Submit(std::move(*mutation));
       switch (result.status) {
         case SvcStatus::kOk:
           response.type = MsgType::kMutateAck;
@@ -292,7 +269,7 @@ WireResponse ServiceServer::Dispatch(const WireRequest& request) {
       }
     }
     case MsgType::kCandidates: {
-      if (service_->Candidates(request.id, request.k, &response.candidates) !=
+      if (service->Candidates(request.id, request.k, &response.candidates) !=
           SvcStatus::kOk) {
         return ErrorResponse(StrFormat(
             "bad candidates query (first %d, count %d)", request.id,
@@ -302,13 +279,8 @@ WireResponse ServiceServer::Dispatch(const WireRequest& request) {
       return response;
     }
     case MsgType::kInstallArrangement: {
-      std::vector<std::pair<EventId, UserId>> pairs;
-      pairs.reserve(request.pairs.size());
-      for (const auto& [event, user] : request.pairs) {
-        pairs.emplace_back(event, user);
-      }
       const SubmitResult result =
-          service_->SubmitInstall(std::move(pairs), request.max_sum_bits);
+          service->SubmitInstall(request.pairs, request.max_sum_bits);
       switch (result.status) {
         case SvcStatus::kOk:
           response.type = MsgType::kMutateAck;

@@ -24,8 +24,10 @@
 // connection. Counters: svc.net.requests, svc.net.protocol_errors,
 // svc.net.overloaded_conns.
 //
-// ServiceServer binds a WireServer to an ArrangementService — the
-// single-node (or single-shard) deployment. The shard coordinator
+// DispatchToService is the one mapping of wire requests onto an
+// ArrangementService. ServiceServer serves it over TCP — the single-node
+// (or single-shard) deployment — and InProcessClient (svc/client.h) sends
+// it the same frames without a socket. The shard coordinator
 // (src/shard/coordinator.h) builds its own dispatcher on the same
 // transport.
 //
@@ -40,6 +42,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -82,7 +85,8 @@ class WireServer {
  private:
   void AcceptLoop();
   void ConnectionLoop(size_t slot, int fd);
-  // One request in, one response out. False ⇒ close the connection.
+  // One request in, one response out (AnswerFrame). False ⇒ close the
+  // connection.
   bool HandleFrame(const std::string& frame_body, int fd);
 
   Dispatcher dispatcher_;
@@ -96,6 +100,21 @@ class WireServer {
   std::vector<int> connection_fds_;  // -1 once its thread finished
   std::vector<std::thread> connection_threads_;
 };
+
+// Decodes one request frame body (the bytes after the length prefix),
+// runs `dispatcher` on it and leaves the encoded reply frame in
+// `reply_frame`. A body that does not decode is answered with a kError
+// frame and returns false: a peer that cannot frame correctly cannot be
+// resynchronized.
+bool AnswerFrame(std::string_view request_body,
+                 const WireServer::Dispatcher& dispatcher,
+                 std::string* reply_frame);
+
+// Answers `request` from `service`. Bad arguments (ids out of range, a
+// mutation that does not parse or fails ValidateMutation against the
+// published snapshot) are kError replies; a full queue is kOverloaded.
+WireResponse DispatchToService(ArrangementService* service,
+                               const WireRequest& request);
 
 class ServiceServer {
  public:
@@ -113,9 +132,6 @@ class ServiceServer {
   void Stop() { server_.Stop(); }
 
  private:
-  WireResponse Dispatch(const WireRequest& request);
-
-  ArrangementService* service_;
   WireServer server_;
 };
 

@@ -1,5 +1,9 @@
 #include "svc/wire.h"
 
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 
 #include "util/check.h"
@@ -523,6 +527,55 @@ bool DecodeResponse(const uint8_t* data, size_t size, WireResponse* out,
       return Fail(error, "unexpected message type");
   }
   return CheckEnd(reader, error);
+}
+
+bool ParseFrameLength(std::string_view frame, uint32_t* length) {
+  Reader reader(reinterpret_cast<const uint8_t*>(frame.data()), frame.size());
+  *length = 0;
+  return reader.ReadU32(length) && *length >= 2 && *length <= kMaxFrameBytes;
+}
+
+namespace {
+
+bool ReadFull(int fd, char* data, size_t size) {
+  size_t done = 0;
+  while (done < size) {
+    const ssize_t n = read(fd, data + done, size - done);
+    if (n == 0) return false;  // peer closed
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    done += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+}  // namespace
+
+FrameRead ReadFrame(int fd, std::string* body, uint32_t* length) {
+  char prefix[4];
+  if (!ReadFull(fd, prefix, sizeof(prefix))) return FrameRead::kClosed;
+  if (!ParseFrameLength(std::string_view(prefix, sizeof(prefix)), length)) {
+    return FrameRead::kBadLength;
+  }
+  body->resize(*length);
+  return ReadFull(fd, body->data(), body->size()) ? FrameRead::kOk
+                                                  : FrameRead::kClosed;
+}
+
+bool WriteFull(int fd, std::string_view bytes) {
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n =
+        send(fd, bytes.data() + done, bytes.size() - done, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    done += static_cast<size_t>(n);
+  }
+  return true;
 }
 
 }  // namespace geacc::svc

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "svc/service.h"
@@ -113,8 +114,8 @@ struct WireRequest {
   MsgType type = MsgType::kPing;
   int32_t id = -1;
   int32_t k = 0;
-  std::string payload;
-  std::vector<std::pair<int32_t, int32_t>> pairs;  // (event, user)
+  std::string payload{};
+  std::vector<std::pair<int32_t, int32_t>> pairs{};  // (event, user)
   uint64_t max_sum_bits = 0;
 };
 
@@ -143,6 +144,28 @@ bool DecodeRequest(const uint8_t* data, size_t size, WireRequest* out,
                    std::string* error = nullptr);
 bool DecodeResponse(const uint8_t* data, size_t size, WireResponse* out,
                     std::string* error = nullptr);
+
+// Reads the length prefix at the front of `frame` (4 bytes or more).
+// False when it lies outside [2, kMaxFrameBytes]: no such frame is
+// accepted, over a socket or in process.
+bool ParseFrameLength(std::string_view frame, uint32_t* length);
+
+// ----- frames over a connected socket -----
+// Short transfers and EINTR are retried; writes use send(MSG_NOSIGNAL),
+// so a peer that closed mid-frame cannot SIGPIPE the process.
+
+enum class FrameRead {
+  kOk,
+  kClosed,     // EOF or a read error
+  kBadLength,  // the prefix failed ParseFrameLength; no body was read
+};
+
+// Reads one frame from `fd`, leaving the bytes after its prefix in `body`
+// and the prefix in `*length` (also when it is out of range).
+FrameRead ReadFrame(int fd, std::string* body, uint32_t* length);
+
+// Writes all of `bytes` to `fd`; false on a send error.
+bool WriteFull(int fd, std::string_view bytes);
 
 }  // namespace geacc::svc
 

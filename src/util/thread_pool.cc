@@ -130,7 +130,8 @@ void ThreadPool::ParallelFor(
   // Worker-side deltas per chunk, re-credited to this thread afterwards so
   // StatsScope attribution survives the fan-out.
   std::vector<obs::StatsSnapshot> worker_stats(chunks);
-  const int64_t steals_before = steals();
+  // Read only by the pool.steals counter, which GEACC_NO_STATS compiles out.
+  [[maybe_unused]] const int64_t steals_before = steals();
 
   auto run_chunk = [&](int chunk) {
     const auto [chunk_begin, chunk_end] = chunk_bounds(chunk);

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -146,6 +147,50 @@ TEST_F(SocketServiceTest, BadArgumentsAreErrorsOnAHealthyConnection) {
   // Still healthy after three rejected calls.
   EXPECT_EQ(client.Ping(), RpcStatus::kOk);
   EXPECT_EQ(client.GetAssignments(0, &events), RpcStatus::kOk);
+}
+
+// Both transports carry the same frames to the same dispatcher, so each
+// refused request gets the same status and diagnostic either way — the
+// server's mutation pre-check and the mutation's text codec included.
+TEST_F(SocketServiceTest, InProcessAndSocketClientsAnswerAlike) {
+  SocketClient socket_client;
+  ASSERT_TRUE(socket_client.Connect("127.0.0.1", server_->port()));
+  InProcessClient local(service_.get());
+
+  std::vector<EventId> ids;
+  std::vector<ScoredEvent> scored;
+  std::vector<ScoredCandidate> candidates;
+  ShardTopologyStats topology;
+  int64_t ticket = -1;
+  const struct {
+    const char* name;
+    std::function<RpcStatus(ServiceClient&)> send;
+  } requests[] = {
+      {"GetAssignments(100000)",
+       [&](ServiceClient& c) { return c.GetAssignments(100000, &ids); }},
+      {"TopKEvents(0, -5)",
+       [&](ServiceClient& c) { return c.TopKEvents(0, -5, &scored); }},
+      {"Candidates(-1, 3)",
+       [&](ServiceClient& c) { return c.Candidates(-1, 3, &candidates); }},
+      {"GetShardStats on a plain shard",
+       [&](ServiceClient& c) { return c.GetShardStats(&topology); }},
+      {"Mutate(SetUserCapacity(9999, 2))",
+       [&](ServiceClient& c) {
+         return c.Mutate(Mutation::SetUserCapacity(9999, 2), &ticket);
+       }},
+      {"1-attribute AddUser at dim 3",
+       [&](ServiceClient& c) {
+         return c.Mutate(Mutation::AddUser({0.5}, 1), &ticket);
+       }},
+  };
+  for (const auto& request : requests) {
+    SCOPED_TRACE(request.name);
+    const RpcStatus over_socket = request.send(socket_client);
+    const RpcStatus in_process = request.send(local);
+    EXPECT_STREQ(RpcStatusName(over_socket), "server_error");
+    EXPECT_STREQ(RpcStatusName(in_process), RpcStatusName(over_socket));
+    EXPECT_EQ(local.last_error(), socket_client.last_error());
+  }
 }
 
 TEST_F(SocketServiceTest, GarbageFramesDoNotKillTheServer) {

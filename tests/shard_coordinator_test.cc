@@ -37,35 +37,32 @@ namespace {
 using svc::ScoredCandidate;
 using svc::ScoredEvent;
 
-// An in-process shard client whose Candidates pages pass through
+// An in-process shard client whose kCandidateList replies pass through
 // `corrupt` when it is set, so tests can feed the coordinator malformed
-// shard output. With `frame_cap` set it refuses a page whose reply frame
-// would exceed the wire cap as a protocol error, as SocketClient does.
+// shard output in well-formed frames.
 class CorruptibleClient : public svc::InProcessClient {
  public:
   using svc::InProcessClient::InProcessClient;
 
-  svc::RpcStatus Candidates(UserId first_user, int user_count,
-                            std::vector<ScoredCandidate>* out) override {
+  std::function<void(std::vector<ScoredCandidate>*)> corrupt;
+
+ protected:
+  svc::RpcStatus Exchange(const std::string& request_frame,
+                          std::string* reply_body) override {
     const svc::RpcStatus status =
-        svc::InProcessClient::Candidates(first_user, user_count, out);
-    if (status != svc::RpcStatus::kOk) return status;
-    if (corrupt) corrupt(out);
-    if (frame_cap) {
-      svc::WireResponse reply;
-      reply.type = svc::MsgType::kCandidateList;
-      reply.candidates = *out;
-      if (svc::EncodeResponseFrame(reply).size() > svc::kMaxFrameBytes + 4) {
-        out->clear();
-        last_error_ = "reply frame over the wire cap";
-        return svc::RpcStatus::kProtocolError;
-      }
+        svc::InProcessClient::Exchange(request_frame, reply_body);
+    svc::WireResponse reply;
+    if (status != svc::RpcStatus::kOk || !corrupt ||
+        !svc::DecodeResponse(
+            reinterpret_cast<const uint8_t*>(reply_body->data()),
+            reply_body->size(), &reply) ||
+        reply.type != svc::MsgType::kCandidateList) {
+      return status;
     }
+    corrupt(&reply.candidates);
+    *reply_body = svc::EncodeResponseFrame(reply).substr(4);
     return status;
   }
-
-  std::function<void(std::vector<ScoredCandidate>*)> corrupt;
-  bool frame_cap = false;
 };
 
 // An in-process N-shard topology: empty score-only shard services behind
@@ -318,19 +315,16 @@ TEST(ShardCoordinator, RepairPassRejectsMalformedCandidatesBeforeInstalling) {
 }
 
 // 100 events and ~1,200 users per shard: a page of 1,024 users with an
-// edge to every event would be a ~1.6 MB reply, over the 1 MiB wire cap.
-// The coordinator must page by the event slot count, so no reply is
-// dropped and the pass still equals greedy-sortall bit for bit.
+// edge to every event would be a ~1.6 MB reply, over the 1 MiB wire cap
+// that the in-process transport enforces as a socket does. The
+// coordinator must page by the event slot count, so no reply is refused
+// and the pass still equals greedy-sortall bit for bit.
 TEST(ShardCoordinator, CandidatePagesFitTheWireCap) {
   const Instance instance = SmallInstance(/*seed=*/7, /*events=*/100,
                                           /*users=*/2400);
   const SolveResult reference =
       CreateSolver("greedy-sortall")->Solve(instance);
-  constexpr int kShards = 2;
-  Topology topology(kShards, instance);
-  for (int shard = 0; shard < kShards; ++shard) {
-    topology.client(shard).frame_cap = true;
-  }
+  Topology topology(/*num_shards=*/2, instance);
   ShardCoordinator& coordinator = topology.coordinator();
   ASSERT_EQ(coordinator.ApplyInstance(instance), "");
   ASSERT_EQ(coordinator.RepairPass(), "");

@@ -316,6 +316,28 @@ TEST(Wire, TruncationAtEveryByteFailsCleanly) {
   }
 }
 
+// The one length check behind both socket loops and the in-process
+// transport: [2, kMaxFrameBytes] passes; anything else, or a prefix cut
+// short, fails. The claimed length is reported either way.
+TEST(Wire, FrameLengthMustLieWithinTheCap) {
+  const auto prefix = [](uint32_t length) {
+    return std::string(reinterpret_cast<const char*>(&length), 4);
+  };
+  uint32_t length = 0;
+  for (const uint32_t good : {2u, 6u, kMaxFrameBytes}) {
+    EXPECT_TRUE(ParseFrameLength(prefix(good), &length)) << good;
+    EXPECT_EQ(length, good);
+  }
+  for (const uint32_t bad : {0u, 1u, kMaxFrameBytes + 1, 0xffffffffu}) {
+    EXPECT_FALSE(ParseFrameLength(prefix(bad), &length)) << bad;
+    EXPECT_EQ(length, bad);
+  }
+  EXPECT_FALSE(ParseFrameLength(prefix(2).substr(0, 3), &length));
+  const std::string ping = EncodeRequestFrame(Request(MsgType::kPing));
+  EXPECT_TRUE(ParseFrameLength(ping, &length));
+  EXPECT_EQ(length, PrefixOf(ping));
+}
+
 TEST(Wire, TrailingBytesAreRejected) {
   for (std::vector<uint8_t> body :
        {Payload(EncodeRequestFrame(Request(MsgType::kPing))),
