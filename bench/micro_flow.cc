@@ -39,7 +39,7 @@ Network MakeBipartite(int events, int users, uint64_t seed) {
   return net;
 }
 
-// Engine set-up alone: it copies the cost rows and sizes its node state.
+// Engine set-up alone: it tiles the cost rows and sizes its node state.
 void BM_BuildEngine(benchmark::State& state) {
   const Network net = MakeBipartite(static_cast<int>(state.range(0)),
                                     static_cast<int>(state.range(1)), 7);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
 
@@ -17,6 +18,11 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 // The improvement tolerance of the generic reference engine (tests/flow/).
 constexpr double kEps = 1e-9;
+// The cost tiles start on a 32-byte boundary, so no tile read splits a
+// cache line.
+constexpr std::uintptr_t kTileAlign = 32;
+
+bool IsPositiveZero(double x) { return x == 0.0 && !std::signbit(x); }
 
 }  // namespace
 
@@ -104,17 +110,39 @@ TransportSsp::TransportSsp(const double* pair_costs,
       num_users_(static_cast<int>(user_capacity.size())),
       source_(0),
       sink_(num_events_ + num_users_ + 1),
+      tile_stride_(static_cast<int64_t>(num_events_) * simd::kCostTile),
       event_residual_(std::move(event_capacity)),
       user_residual_(std::move(user_capacity)) {
   GEACC_CHECK(pair_costs != nullptr || num_events_ == 0 || num_users_ == 0);
   for (const int64_t c : event_residual_) GEACC_CHECK_GE(c, 0);
   for (const int64_t c : user_residual_) GEACC_CHECK_GE(c, 0);
-  const size_t pairs = static_cast<size_t>(num_events_) * num_users_;
-  forward_cost_.assign(pair_costs_, pair_costs_ + pairs);
-  for (const double cost : forward_cost_) {
-    // Non-negative costs keep the zero potentials valid (no Bellman–Ford
-    // bootstrap); finite ones keep +inf free to mean "saturated".
-    GEACC_CHECK(cost >= 0.0 && cost < kInf) << "pair cost " << cost;
+  // Filled straight from the borrowed rows, tile by tile, so no second
+  // |V|×|U| copy is ever held.
+  const int64_t num_tiles =
+      (num_users_ + simd::kCostTile - 1) / simd::kCostTile;
+  tile_storage_.resize(static_cast<size_t>(num_tiles * tile_stride_) +
+                       kTileAlign / sizeof(double) - 1);
+  const auto raw = reinterpret_cast<std::uintptr_t>(tile_storage_.data());
+  tiles_ = tile_storage_.data() +
+           (kTileAlign - raw % kTileAlign) % kTileAlign / sizeof(double);
+  for (int64_t tile = 0; tile < num_tiles; ++tile) {
+    double* out = tiles_ + tile * tile_stride_;
+    const int first = static_cast<int>(tile * simd::kCostTile);
+    for (int v = 0; v < num_events_; ++v) {
+      for (int lane = 0; lane < simd::kCostTile; ++lane, ++out) {
+        const int u = first + lane;
+        if (u >= num_users_) {
+          *out = kInf;  // padding past |U|: never improves
+          continue;
+        }
+        const double cost = PairCost(v, u);
+        // Non-negative costs keep the zero potentials valid (no
+        // Bellman–Ford bootstrap); finite ones keep +inf free to mean
+        // "saturated".
+        GEACC_CHECK(cost >= 0.0 && cost < kInf) << "pair cost " << cost;
+        *out = cost;
+      }
+    }
   }
   holders_.resize(num_users_);
   const int n = sink_ + 1;
@@ -122,6 +150,7 @@ TransportSsp::TransportSsp(const double* pair_costs,
   distance_.assign(n, kInf);
   parent_.assign(n, -1);
   improved_.resize(num_users_);
+  free_events_.reserve(num_events_);
   queued_.reserve(n);
   heap_.Init(n);
 }
@@ -151,39 +180,45 @@ bool TransportSsp::FindPath() {
     parent_[head] = tail;
     return true;
   };
-  // `improved` (null or improved_) receives the users the row improved.
-  const auto relax_row = [&](int v, double dist, int32_t* improved) {
-    // The kernel's clamp equals the generic one only for dist != −0.0.
-    GEACC_DCHECK(!std::signbit(dist));
-    const int64_t count = simd::RelaxRow(
-        level, forward_cost_.data() + static_cast<size_t>(v) * num_users_,
-        potential_[EventNode(v)], user_potential, dist, kEps, user_distance,
-        user_parent, EventNode(v), improved, num_users_);
-    relaxations += count;
-    return count;
+
+  // Phase 1 (the header says why it is exact): the source reaches the
+  // free events at distance and potential +0.0, they settle first in
+  // ascending id, and one pass relaxes all their rows.
+  free_events_.clear();
+  for (int v = 0; v < num_events_; ++v) {
+    if (event_residual_[v] == 0) continue;
+    relax(0.0, source_, EventNode(v), 0.0);
+    GEACC_DCHECK(IsPositiveZero(potential_[EventNode(v)]) &&
+                 IsPositiveZero(distance_[EventNode(v)]));
+    free_events_.push_back(v);
+  }
+  settles += static_cast<int64_t>(free_events_.size());
+  relaxations += simd::RelaxFreeEvents(
+      level, tiles_, tile_stride_, free_events_.data(),
+      static_cast<int64_t>(free_events_.size()), user_potential, kEps,
+      user_distance, user_parent, kFromPass, num_users_);
+
+  // The sink-bounded heap (see the header): the sink ends at ≤ bound, so
+  // only nodes keyed ≤ bound are queued. With no reach the heap takes
+  // every finite key, as the generic queue does.
+  double reach = kInf;
+  const double sink_potential = potential_[sink_];
+  for (int u = 0; u < num_users_; ++u) {
+    if (user_residual_[u] == 0) continue;
+    double reduced = 0.0 + user_potential[u] - sink_potential;
+    if (reduced < 0.0) reduced = 0.0;
+    reach = std::min(reach, user_distance[u] + reduced);
+  }
+  const double bound =
+      reach < kInf ? reach + kEps : std::numeric_limits<double>::max();
+  const auto push = [&](int node) {
+    if (distance_[node] <= bound) heap_.PushOrDecrease(node, distance_[node]);
   };
 
-  // The source's arcs, then — heapless — every event it put at distance
-  // exactly 0, in ascending id: their (0, id) keys precede every user and
-  // the sink, and event rows reach only users. The heap is built after,
-  // so these rows need no list of the users they improve.
-  for (int v = 0; v < num_events_; ++v) {
-    if (event_residual_[v] > 0) relax(0.0, source_, EventNode(v), 0.0);
-  }
+  // Dijkstra proper over whatever the pass reached.
   queued_.clear();
-  for (int v = 0; v < num_events_; ++v) {
-    const double dist = distance_[EventNode(v)];
-    if (dist == 0.0) {
-      ++settles;
-      relax_row(v, dist, nullptr);
-    } else if (dist < kInf) {
-      queued_.push_back(EventNode(v));
-    }
-  }
-
-  // Dijkstra proper over whatever those rows reached.
   for (int u = 0; u < num_users_; ++u) {
-    if (user_distance[u] < kInf) queued_.push_back(UserNode(u));
+    if (user_distance[u] <= bound) queued_.push_back(UserNode(u));
   }
   heap_.Build(queued_, distance_.data());
   while (!heap_.empty()) {
@@ -193,27 +228,33 @@ bool TransportSsp::FindPath() {
     const double dist = distance_[node];
     if (IsEvent(node)) {
       const int v = node - 1;
-      const int64_t count = relax_row(v, dist, improved_.data());
-      for (int64_t k = 0; k < count; ++k) {
-        const int user = first_user + improved_[k];
-        heap_.PushOrDecrease(user, distance_[user]);
-      }
+      // The kernel's clamp equals the generic one only for dist != −0.0.
+      GEACC_DCHECK(!std::signbit(dist));
+      const int64_t count = simd::RelaxRow(
+          level, tiles_ + static_cast<int64_t>(v) * simd::kCostTile,
+          tile_stride_, potential_[node], user_potential, dist, kEps,
+          user_distance, user_parent, node, improved_.data(), num_users_);
+      relaxations += count;
+      for (int64_t k = 0; k < count; ++k) push(first_user + improved_[k]);
       continue;
     }
     const int u = node - first_user;
     for (const int v : holders_[u]) {  // backward arcs u → v
-      if (relax(-PairCost(v, u), node, EventNode(v), dist)) {
-        heap_.PushOrDecrease(EventNode(v), distance_[EventNode(v)]);
-      }
+      if (relax(-PairCost(v, u), node, EventNode(v), dist)) push(EventNode(v));
     }
-    if (user_residual_[u] > 0 && relax(0.0, node, sink_, dist)) {
-      heap_.PushOrDecrease(sink_, distance_[sink_]);
-    }
+    if (user_residual_[u] > 0 && relax(0.0, node, sink_, dist)) push(sink_);
   }
   heap_.Clear();
   GEACC_STATS_ADD("flow.dijkstra.settles", settles);
   GEACC_STATS_ADD("flow.dijkstra.relaxations", relaxations);
   if (distance_[sink_] == kInf) return false;
+
+  // Lazy parents: only the path users the pass left marked replay it.
+  for (int node = parent_[sink_]; node != source_; node = parent_[node]) {
+    if (parent_[node] == kFromPass) {
+      parent_[node] = EventNode(PassParent(node - first_user));
+    }
+  }
 
   // Johnson update keeps reduced costs non-negative for the next search.
   const double sink_distance = distance_[sink_];
@@ -221,6 +262,22 @@ bool TransportSsp::FindPath() {
     potential_[node] += std::min(distance_[node], sink_distance);
   }
   return true;
+}
+
+int TransportSsp::PassParent(int u) const {
+  const double potential = potential_[UserNode(u)];
+  double best = kInf;
+  int parent = -1;
+  for (const int32_t v : free_events_) {
+    double reduced = tiles_[TileIndex(v, u)] - potential;
+    reduced = reduced > 0.0 ? reduced : 0.0;
+    if (reduced + kEps < best) {
+      best = reduced;
+      parent = v;
+    }
+  }
+  GEACC_DCHECK(parent >= 0 && best == distance_[UserNode(u)]);
+  return parent;
 }
 
 double TransportSsp::ArcCost(int tail, int head) const {
@@ -237,13 +294,13 @@ void TransportSsp::PushArc(int tail, int head) {
   } else if (IsEvent(tail)) {
     const int v = tail - 1;
     const int u = head - UserNode(0);
-    forward_cost_[static_cast<size_t>(v) * num_users_ + u] = kInf;
+    tiles_[TileIndex(v, u)] = kInf;
     std::vector<int>& events = holders_[u];
     events.insert(std::lower_bound(events.begin(), events.end(), v), v);
   } else {  // backward arc: cancel the unit on head → tail
     const int v = head - 1;
     const int u = tail - UserNode(0);
-    forward_cost_[static_cast<size_t>(v) * num_users_ + u] = PairCost(v, u);
+    tiles_[TileIndex(v, u)] = PairCost(v, u);
     std::vector<int>& events = holders_[u];
     const auto it = std::lower_bound(events.begin(), events.end(), v);
     GEACC_DCHECK(it != events.end() && *it == v);
@@ -279,8 +336,7 @@ int64_t TransportSsp::AugmentIfCheaper(double cost_limit) {
 
 int64_t TransportSsp::Flow(int v, int u) const {
   GEACC_DCHECK(v >= 0 && v < num_events_ && u >= 0 && u < num_users_);
-  return forward_cost_[static_cast<size_t>(v) * num_users_ + u] == kInf ? 1
-                                                                         : 0;
+  return tiles_[TileIndex(v, u)] == kInf ? 1 : 0;
 }
 
 std::vector<int> TransportSsp::LastPath() const {
@@ -294,11 +350,12 @@ std::vector<int> TransportSsp::LastPath() const {
 }
 
 uint64_t TransportSsp::ByteEstimate() const {
-  uint64_t bytes = VectorBytes(forward_cost_) + VectorBytes(event_residual_) +
+  uint64_t bytes = VectorBytes(tile_storage_) + VectorBytes(event_residual_) +
                    VectorBytes(user_residual_) + VectorBytes(holders_) +
                    VectorBytes(potential_) + VectorBytes(distance_) +
                    VectorBytes(parent_) + VectorBytes(improved_) +
-                   VectorBytes(queued_) + heap_.ByteEstimate();
+                   VectorBytes(free_events_) + VectorBytes(queued_) +
+                   heap_.ByteEstimate();
   for (const auto& events : holders_) bytes += VectorBytes(events);
   return bytes;
 }

@@ -164,13 +164,24 @@ void BatchVaLowerBound(Level level, const double* cell_table, int cells,
   }
 }
 
-int64_t RelaxRow(Level level, const double* cost, double tail_potential,
-                 const double* head_potential, double tail_distance,
-                 double eps, double* distance, int32_t* parent, int32_t tail,
-                 int32_t* improved, int64_t n) {
-  return GetKernels(level).relax_row(cost, tail_potential, head_potential,
-                                     tail_distance, eps, distance, parent,
-                                     tail, improved, n);
+int64_t RelaxRow(Level level, const double* cost, int64_t stride,
+                 double tail_potential, const double* head_potential,
+                 double tail_distance, double eps, double* distance,
+                 int32_t* parent, int32_t tail, int32_t* improved,
+                 int64_t n) {
+  return GetKernels(level).relax_row(cost, stride, tail_potential,
+                                     head_potential, tail_distance, eps,
+                                     distance, parent, tail, improved, n);
+}
+
+int64_t RelaxFreeEvents(Level level, const double* tiles, int64_t stride,
+                        const int32_t* events, int64_t num_events,
+                        const double* head_potential, double eps,
+                        double* distance, int32_t* parent, int32_t mark,
+                        int64_t n) {
+  return GetKernels(level).relax_free_events(tiles, stride, events,
+                                             num_events, head_potential, eps,
+                                             distance, parent, mark, n);
 }
 
 }  // namespace geacc::simd

@@ -168,12 +168,27 @@ void BatchVaLowerBound(Level level, const double* cell_table, int cells,
                        double* out);
 
 // ---------------------------------------------------------------------------
-// Dijkstra row relaxation (flow/transport_ssp.cc).
+// Dijkstra relaxations of the transport engine (flow/transport_ssp.cc).
 //
-// Relaxes the n arcs tail → head i of one dense cost row, in the generic
-// SSP engine's arithmetic and order (the reference in tests/flow/):
+// The engine keeps its event → user costs user-tiled: users are grouped
+// in tiles of kCostTile, and each tile holds every event's kCostTile costs
+// contiguously. With `stride` doubles from one tile to the next (|V| ·
+// kCostTile in the engine), the cost of the arc from event e to user i is
 //
-//     r    = (cost[i] + tail_potential) − head_potential[i]
+//     tiles[(i / kCostTile) * stride + e * kCostTile + i % kCostTile]
+//
+// One tile is one __m256d. Both kernels are add, subtract, max and
+// compare only: there is no multiply to contract, so every level returns
+// identical bits for every input (strict-only; there is no fast variant).
+inline constexpr int kCostTile = 4;
+
+// Relaxes the n arcs tail → head i of one cost row, in the generic SSP
+// engine's arithmetic and order (the reference in tests/flow/). Arc i's
+// cost is cost[(i / kCostTile) * stride + i % kCostTile], so `cost` is
+// tiles + e · kCostTile for event e, and stride = kCostTile reads a plain
+// contiguous row. Then
+//
+//     r    = (cost_i + tail_potential) − head_potential[i]
 //     r    = r > 0 ? r : +0.0
 //     cand = tail_distance + r
 //     if (cand + eps < distance[i]):
@@ -181,17 +196,33 @@ void BatchVaLowerBound(Level level, const double* cell_table, int cells,
 //
 // and returns `count`. A +inf cost (an arc without residual capacity)
 // gives cand = +inf, which never passes the test, so the row needs no
-// residual branch. Add, subtract, max and compare only: there is no
-// multiply to contract, so every level returns identical bits for every
-// input (strict-only; there is no fast variant). The clamp maps a reduced
-// cost of −0.0 to +0.0 where a `r < 0` clamp keeps −0.0; the two give
-// the same cand for every tail_distance except −0.0. `improved` is either
-// null (no list is written; the count is still returned) or holds n
-// entries, of which those from `count` on are unspecified. O(n).
-int64_t RelaxRow(Level level, const double* cost, double tail_potential,
-                 const double* head_potential, double tail_distance,
-                 double eps, double* distance, int32_t* parent, int32_t tail,
-                 int32_t* improved, int64_t n);
+// residual branch. The clamp maps a reduced cost of −0.0 to +0.0 where a
+// `r < 0` clamp keeps −0.0; the two give the same cand for every
+// tail_distance except −0.0. `improved` is either null (no list is
+// written; the count is still returned) or holds n entries, of which
+// those from `count` on are unspecified. O(n).
+int64_t RelaxRow(Level level, const double* cost, int64_t stride,
+                 double tail_potential, const double* head_potential,
+                 double tail_distance, double eps, double* distance,
+                 int32_t* parent, int32_t tail, int32_t* improved, int64_t n);
+
+// Relaxes the rows of the `num_events` events listed in `events`, in list
+// order, over the n users of `tiles` (laid out as above), from tails at
+// potential and distance +0.0. That is RelaxRow(level, tiles + e ·
+// kCostTile, stride, +0.0, head_potential, +0.0, eps, ...) for each e in
+// turn, with the same bits, whose candidate reduces to
+//
+//     cand = max(cost_ei − head_potential[i], +0.0)
+//
+// except that no parent is written per arc: each user the pass improves
+// at least once ends with parent[i] = mark, and every other parent is
+// left alone. Returns the number of improvements. A group of users keeps
+// its distances in registers across all the events. O(num_events · n).
+int64_t RelaxFreeEvents(Level level, const double* tiles, int64_t stride,
+                        const int32_t* events, int64_t num_events,
+                        const double* head_potential, double eps,
+                        double* distance, int32_t* parent, int32_t mark,
+                        int64_t n);
 
 // ---------------------------------------------------------------------------
 // Per-block reducer table — the level-specific functions the drivers
@@ -216,16 +247,23 @@ struct KernelTable {
                        double* dot8, double* norm8);
   void (*va_lower_bound)(const double* cell_table, int cells,
                          const uint8_t* sig_block, int dim, double* out8);
-  // Whole-row kernels (not per block). `relax_row` is RelaxRow's body;
+  // Whole-row kernels (not per block). `relax_row` and
+  // `relax_free_events` are the bodies of RelaxRow and RelaxFreeEvents;
   // `euclidean_finish` is BatchEuclideanSimilarity's finisher: it maps n
   // squared distances in place to clamp(1 − √d² / max_dist, 0, 1), each
   // with EuclideanSimilarity::Compute's operations in its order (sqrt,
   // divide, subtract, then std::clamp as max-then-min), so every level
   // returns its bits.
-  int64_t (*relax_row)(const double* cost, double tail_potential,
-                       const double* head_potential, double tail_distance,
-                       double eps, double* distance, int32_t* parent,
-                       int32_t tail, int32_t* improved, int64_t n);
+  int64_t (*relax_row)(const double* cost, int64_t stride,
+                       double tail_potential, const double* head_potential,
+                       double tail_distance, double eps, double* distance,
+                       int32_t* parent, int32_t tail, int32_t* improved,
+                       int64_t n);
+  int64_t (*relax_free_events)(const double* tiles, int64_t stride,
+                               const int32_t* events, int64_t num_events,
+                               const double* head_potential, double eps,
+                               double* distance, int32_t* parent,
+                               int32_t mark, int64_t n);
   void (*euclidean_finish)(double max_dist, double* inout, int64_t n);
 };
 

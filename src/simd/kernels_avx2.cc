@@ -7,8 +7,8 @@
 // Lane geometry: a block holds 8 rows, one cache line (two __m256d) per
 // dimension, so each reducer runs two accumulator registers and the
 // whole inner loop is two aligned loads + arithmetic per dimension.
-// RelaxRow and the Euclidean finisher are the whole-row kernels: four
-// elements per step, unaligned.
+// RelaxRow, RelaxFreeEvents and the Euclidean finisher are the whole-row
+// kernels: four elements (one cost tile) per step, unaligned.
 
 #include <algorithm>
 #include <cmath>
@@ -183,28 +183,38 @@ constexpr CompressTable MakeCompressTable() {
 
 constexpr CompressTable kCompress = MakeCompressTable();
 
-// Four arcs per step: blend the improved lanes into distance and parent,
-// then (kList) compress their indices onto `improved` — no per-lane
-// branch. The final n % 4 arcs run the scalar form of the same arithmetic.
+static_assert(kCostTile == 4, "one cost tile is one __m256d");
+
+// The low dword of each 64-bit compare lane, as four int32 lanes: turns a
+// __m256d mask into the __m128i mask of four int32 parents.
+__m128i ParentMask(__m256d mask) {
+  const __m256i low_dwords = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
+  return _mm256_castsi256_si128(
+      _mm256_permutevar8x32_epi32(_mm256_castpd_si256(mask), low_dwords));
+}
+
+// Four arcs (one cost tile) per step: blend the improved lanes into
+// distance and parent, then (kList) compress their indices onto
+// `improved` — no per-lane branch. The final n % 4 arcs run the scalar
+// form of the same arithmetic.
 template <bool kList>
-int64_t RelaxRowLoop(const double* cost, double tail_potential,
-                     const double* head_potential, double tail_distance,
-                     double eps, double* distance, int32_t* parent,
-                     int32_t tail, int32_t* improved, int64_t n) {
+int64_t RelaxRowLoop(const double* cost, int64_t stride,
+                     double tail_potential, const double* head_potential,
+                     double tail_distance, double eps, double* distance,
+                     int32_t* parent, int32_t tail, int32_t* improved,
+                     int64_t n) {
   const __m256d potential = _mm256_set1_pd(tail_potential);
   const __m256d base = _mm256_set1_pd(tail_distance);
   const __m256d slack = _mm256_set1_pd(eps);
   const __m256d zero = _mm256_setzero_pd();
   const __m128i tail4 = _mm_set1_epi32(tail);
-  // The low dword of each 64-bit compare lane, as four int32 lanes.
-  const __m256i low_dwords = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
   const __m128i step = _mm_set1_epi32(4);
   __m128i index = _mm_setr_epi32(0, 1, 2, 3);
   int64_t count = 0;
   int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+  for (; i + 4 <= n; i += 4, cost += stride) {
     const __m256d reduced = _mm256_max_pd(
-        _mm256_sub_pd(_mm256_add_pd(_mm256_loadu_pd(cost + i), potential),
+        _mm256_sub_pd(_mm256_add_pd(_mm256_loadu_pd(cost), potential),
                       _mm256_loadu_pd(head_potential + i)),
         zero);
     const __m256d candidate = _mm256_add_pd(base, reduced);
@@ -213,11 +223,9 @@ int64_t RelaxRowLoop(const double* cost, double tail_potential,
                                          current, _CMP_LT_OQ);
     _mm256_storeu_pd(distance + i,
                      _mm256_blendv_pd(current, candidate, better));
-    const __m128i better32 = _mm256_castsi256_si128(
-        _mm256_permutevar8x32_epi32(_mm256_castpd_si256(better), low_dwords));
     __m128i* parent4 = reinterpret_cast<__m128i*>(parent + i);
     _mm_storeu_si128(parent4, _mm_blendv_epi8(_mm_loadu_si128(parent4), tail4,
-                                              better32));
+                                              ParentMask(better)));
     const int mask = _mm256_movemask_pd(better);
     if constexpr (kList) {
       const __m128i shuffle = _mm_load_si128(
@@ -229,8 +237,10 @@ int64_t RelaxRowLoop(const double* cost, double tail_potential,
     }
     count += kCompress.popcount[mask];
   }
+  // `cost` is now the tile of the final n % 4 arcs.
   for (; i < n; ++i) {
-    double reduced = (cost[i] + tail_potential) - head_potential[i];
+    double reduced =
+        (cost[i % kCostTile] + tail_potential) - head_potential[i];
     reduced = reduced > 0.0 ? reduced : 0.0;
     const double candidate = tail_distance + reduced;
     const bool better = candidate + eps < distance[i];
@@ -242,17 +252,102 @@ int64_t RelaxRowLoop(const double* cost, double tail_potential,
   return count;
 }
 
-int64_t RelaxRow(const double* cost, double tail_potential,
+int64_t RelaxRow(const double* cost, int64_t stride, double tail_potential,
                  const double* head_potential, double tail_distance,
                  double eps, double* distance, int32_t* parent, int32_t tail,
                  int32_t* improved, int64_t n) {
   return improved != nullptr
-             ? RelaxRowLoop<true>(cost, tail_potential, head_potential,
-                                  tail_distance, eps, distance, parent, tail,
-                                  improved, n)
-             : RelaxRowLoop<false>(cost, tail_potential, head_potential,
-                                   tail_distance, eps, distance, parent, tail,
-                                   improved, n);
+             ? RelaxRowLoop<true>(cost, stride, tail_potential,
+                                  head_potential, tail_distance, eps,
+                                  distance, parent, tail, improved, n)
+             : RelaxRowLoop<false>(cost, stride, tail_potential,
+                                   head_potential, tail_distance, eps,
+                                   distance, parent, tail, improved, n);
+}
+
+// The free-event pass over kTiles consecutive cost tiles (4 · kTiles
+// users): their distances stay in registers across every event, and the
+// improvement count accumulates as a vector (a true lane is −1). A user
+// whose distance fell gets the mark once at the end.
+template <int kTiles>
+__m256i RelaxFreeGroup(const double* tiles, int64_t stride,
+                       const int32_t* events, int64_t num_events,
+                       const double* head_potential, __m256d slack,
+                       double* distance, int32_t* parent, int32_t mark,
+                       __m256i count) {
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d best[kTiles];
+#pragma GCC unroll 8
+  for (int t = 0; t < kTiles; ++t) {
+    best[t] = _mm256_loadu_pd(distance + kCostTile * t);
+  }
+  for (int64_t k = 0; k < num_events; ++k) {
+    const double* cost = tiles + static_cast<int64_t>(events[k]) * kCostTile;
+#pragma GCC unroll 8
+    for (int t = 0; t < kTiles; ++t) {
+      const __m256d reduced = _mm256_max_pd(
+          _mm256_sub_pd(_mm256_loadu_pd(cost + t * stride),
+                        _mm256_loadu_pd(head_potential + kCostTile * t)),
+          zero);
+      const __m256d better = _mm256_cmp_pd(_mm256_add_pd(reduced, slack),
+                                           best[t], _CMP_LT_OQ);
+      best[t] = _mm256_blendv_pd(best[t], reduced, better);
+      count = _mm256_sub_epi64(count, _mm256_castpd_si256(better));
+    }
+  }
+  const __m128i mark4 = _mm_set1_epi32(mark);
+#pragma GCC unroll 8
+  for (int t = 0; t < kTiles; ++t) {
+    const __m256d fell = _mm256_cmp_pd(
+        best[t], _mm256_loadu_pd(distance + kCostTile * t), _CMP_LT_OQ);
+    _mm256_storeu_pd(distance + kCostTile * t, best[t]);
+    __m128i* parent4 = reinterpret_cast<__m128i*>(parent + kCostTile * t);
+    _mm_storeu_si128(parent4, _mm_blendv_epi8(_mm_loadu_si128(parent4), mark4,
+                                              ParentMask(fell)));
+  }
+  return count;
+}
+
+// Groups of 8 tiles (32 users, 8 of the 16 ymm registers), then single
+// tiles, then the final n % 4 users in the scalar form.
+int64_t RelaxFreeEvents(const double* tiles, int64_t stride,
+                        const int32_t* events, int64_t num_events,
+                        const double* head_potential, double eps,
+                        double* distance, int32_t* parent, int32_t mark,
+                        int64_t n) {
+  constexpr int kGroupTiles = 8;
+  constexpr int64_t kGroupUsers = kGroupTiles * kCostTile;
+  const __m256d slack = _mm256_set1_pd(eps);
+  __m256i count = _mm256_setzero_si256();
+  int64_t i = 0;
+  for (; i + kGroupUsers <= n; i += kGroupUsers) {
+    count = RelaxFreeGroup<kGroupTiles>(
+        tiles + (i / kCostTile) * stride, stride, events, num_events,
+        head_potential + i, slack, distance + i, parent + i, mark, count);
+  }
+  for (; i + kCostTile <= n; i += kCostTile) {
+    count = RelaxFreeGroup<1>(tiles + (i / kCostTile) * stride, stride,
+                              events, num_events, head_potential + i, slack,
+                              distance + i, parent + i, mark, count);
+  }
+  alignas(32) int64_t lanes[4] = {};
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), count);
+  int64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+  for (; i < n; ++i) {
+    const double* cost = tiles + (i / kCostTile) * stride + i % kCostTile;
+    double best = distance[i];
+    for (int64_t k = 0; k < num_events; ++k) {
+      double reduced =
+          cost[static_cast<int64_t>(events[k]) * kCostTile] - head_potential[i];
+      reduced = reduced > 0.0 ? reduced : 0.0;
+      const bool better = reduced + eps < best;
+      best = better ? reduced : best;
+      total += better;
+    }
+    parent[i] = best < distance[i] ? mark : parent[i];
+    distance[i] = best;
+  }
+  return total;
 }
 
 // std::clamp(x, 0, 1) is std::min(std::max(x, 0), 1), i.e.
@@ -290,6 +385,7 @@ const KernelTable& Avx2Kernels() {
       /*dot_norm_fma=*/DotNormBlockFma,
       /*va_lower_bound=*/VaLowerBoundBlock,
       /*relax_row=*/RelaxRow,
+      /*relax_free_events=*/RelaxFreeEvents,
       /*euclidean_finish=*/EuclideanFinish,
   };
   return table;

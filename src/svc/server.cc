@@ -68,7 +68,7 @@ bool WireServer::Start(int port, std::string* error) {
   }
   port_ = ntohs(addr.sin_port);
 
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  accept_thread_ = std::thread([this, fd = listen_fd_] { AcceptLoop(fd); });
   return true;
 }
 
@@ -81,23 +81,25 @@ void WireServer::Stop() {
       if (fd >= 0) shutdown(fd, SHUT_RDWR);
     }
   }
+  // The shutdown wakes accept(); the fd is closed only once the accept
+  // thread is gone, so its number cannot be reused under a live accept().
+  if (listen_fd_ >= 0) shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    shutdown(listen_fd_, SHUT_RDWR);
     close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   for (std::thread& thread : connection_threads_) {
     if (thread.joinable()) thread.join();
   }
 }
 
-void WireServer::AcceptLoop() {
+void WireServer::AcceptLoop(int listen_fd) {
   for (;;) {
-    const int fd = accept(listen_fd_, nullptr, nullptr);
+    const int fd = accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // listener closed (Stop) or fatal — either way we're done
+      return;  // listener shut down (Stop) or fatal — either way we're done
     }
     const int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -269,11 +271,19 @@ WireResponse DispatchToService(ArrangementService* service,
       }
     }
     case MsgType::kCandidates: {
-      if (service->Candidates(request.id, request.k, &response.candidates) !=
-          SvcStatus::kOk) {
+      // Scoring stops one edge past the frame cap: a page that large is
+      // refused here, not built and sent for the client to refuse.
+      if (service->Candidates(request.id, request.k, kMaxCandidatesPerFrame,
+                              &response.candidates) != SvcStatus::kOk) {
         return ErrorResponse(StrFormat(
             "bad candidates query (first %d, count %d)", request.id,
             request.k));
+      }
+      if (response.candidates.size() >
+          static_cast<size_t>(kMaxCandidatesPerFrame)) {
+        return ErrorResponse(StrFormat(
+            "candidates page (first %d, count %d) holds more than %d edges",
+            request.id, request.k, kMaxCandidatesPerFrame));
       }
       response.type = MsgType::kCandidateList;
       return response;

@@ -83,7 +83,9 @@ class WireServer {
   void Stop();
 
  private:
-  void AcceptLoop();
+  // Accepts on `listen_fd` until Stop() shuts it down; Stop() closes it
+  // after joining this loop.
+  void AcceptLoop(int listen_fd);
   void ConnectionLoop(size_t slot, int fd);
   // One request in, one response out (AnswerFrame). False ⇒ close the
   // connection.

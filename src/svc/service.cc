@@ -517,11 +517,13 @@ SvcStatus ArrangementService::TopKEvents(UserId user, int k,
 }
 
 SvcStatus ArrangementService::Candidates(
-    UserId first_user, int user_count,
+    UserId first_user, int user_count, int max_edges,
     std::vector<ScoredCandidate>* out) const {
-  if (first_user < 0 || user_count < 0) return SvcStatus::kInvalidArgument;
+  if (first_user < 0 || user_count < 0 || max_edges < 0) {
+    return SvcStatus::kInvalidArgument;
+  }
   const std::shared_ptr<const ServiceSnapshot> snap = snapshot();
-  *out = snap->Candidates(first_user, user_count);
+  *out = snap->Candidates(first_user, user_count, max_edges);
   return SvcStatus::kOk;
 }
 

@@ -202,9 +202,10 @@ class ArrangementService {
   SvcStatus TopKEvents(UserId user, int k, std::vector<ScoredEvent>* out) const;
 
   // Unfiltered scoring edges for users in [first_user, first_user +
-  // user_count) (see ServiceSnapshot::Candidates). kInvalidArgument on
-  // negative arguments; the range itself is clamped to the slot space.
-  SvcStatus Candidates(UserId first_user, int user_count,
+  // user_count), at most max_edges + 1 of them (see
+  // ServiceSnapshot::Candidates). kInvalidArgument on negative arguments;
+  // the range itself is clamped to the slot space.
+  SvcStatus Candidates(UserId first_user, int user_count, int max_edges,
                        std::vector<ScoredCandidate>* out) const;
 
   ServiceStatsView Stats() const;

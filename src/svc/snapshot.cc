@@ -49,11 +49,14 @@ std::vector<std::vector<ScoredEvent>> ServiceSnapshot::TopKEventsBatch(
 }
 
 std::vector<ScoredCandidate> ServiceSnapshot::Candidates(
-    UserId first_user, int user_count) const {
+    UserId first_user, int user_count, int max_edges) const {
   std::vector<ScoredCandidate> edges;
   const UserId begin = std::max<UserId>(first_user, 0);
-  const UserId end = std::min<UserId>(
-      user_slots(), begin + std::max(user_count, 0));
+  // In 64 bits: begin + user_count overflows int for a count near INT_MAX.
+  const UserId end = static_cast<UserId>(std::min<int64_t>(
+      user_slots(),
+      static_cast<int64_t>(begin) + std::max(user_count, 0)));
+  const size_t limit = static_cast<size_t>(std::max(max_edges, 0)) + 1;
   for (UserId u = begin; u < end; ++u) {
     if (!user_active_[u]) continue;
     for (EventId v = 0; v < event_slots(); ++v) {
@@ -61,6 +64,7 @@ std::vector<ScoredCandidate> ServiceSnapshot::Candidates(
       const double sim = Similarity(v, u);
       if (sim <= 0.0) continue;
       edges.push_back({u, v, sim});
+      if (edges.size() == limit) return edges;
     }
   }
   return edges;

@@ -121,9 +121,11 @@ class ServiceSnapshot {
   // ordered (user asc, event asc). Unlike TopKEvents this does NOT filter
   // out pairs already assigned — the coordinator's repair pass re-derives
   // the global arrangement from scratch each epoch, so held pairs must
-  // stay in the stream. The range is clamped to the slot space.
-  std::vector<ScoredCandidate> Candidates(UserId first_user,
-                                          int user_count) const;
+  // stay in the stream. The range is clamped to the slot space. Scoring
+  // stops as soon as the page holds max_edges + 1 edges, so a result
+  // longer than `max_edges` is a page cut short.
+  std::vector<ScoredCandidate> Candidates(UserId first_user, int user_count,
+                                          int max_edges) const;
 
   // Compacts the snapshot into a dense immutable Instance + Arrangement
   // over the active entities (checkpoint/export path). Dense ids are

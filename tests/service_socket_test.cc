@@ -193,6 +193,45 @@ TEST_F(SocketServiceTest, InProcessAndSocketClientsAnswerAlike) {
   }
 }
 
+// A kCandidates page whose reply would pass the 1 MiB frame cap is
+// refused by the server with kError, over either transport, and the
+// socket stays usable. 100 events × 1,000 users hold more positive edges
+// than kMaxCandidatesPerFrame; a page sized as the coordinator sizes it
+// still fits.
+TEST(ServiceCandidateCap, OverCapPageIsTheSameServerErrorOnBothClients) {
+  SyntheticConfig config;
+  config.num_events = 100;
+  config.num_users = 1000;
+  config.dim = 3;
+  config.seed = 5;
+  ArrangementService service(GenerateSynthetic(config), ServiceOptions{});
+  ServiceServer server(&service);
+  std::string error;
+  ASSERT_TRUE(server.Start(0, &error)) << error;
+  SocketClient socket_client;
+  ASSERT_TRUE(socket_client.Connect("127.0.0.1", server.port(), &error))
+      << error;
+  InProcessClient local(&service);
+
+  std::vector<ScoredCandidate> page;
+  const RpcStatus over_socket = socket_client.Candidates(0, 1000, &page);
+  const RpcStatus in_process = local.Candidates(0, 1000, &page);
+  EXPECT_STREQ(RpcStatusName(over_socket), "server_error");
+  EXPECT_STREQ(RpcStatusName(in_process), "server_error");
+  EXPECT_EQ(local.last_error(), socket_client.last_error());
+  EXPECT_NE(socket_client.last_error().find("more than"), std::string::npos)
+      << socket_client.last_error();
+  EXPECT_TRUE(socket_client.connected());
+  EXPECT_EQ(socket_client.Ping(), RpcStatus::kOk);
+
+  const int page_users = kMaxCandidatesPerFrame / config.num_events;
+  ASSERT_EQ(socket_client.Candidates(0, page_users, &page), RpcStatus::kOk);
+  EXPECT_GT(page.size(), 0u);
+  EXPECT_LE(page.size(), static_cast<size_t>(kMaxCandidatesPerFrame));
+  server.Stop();
+  service.Stop();
+}
+
 TEST_F(SocketServiceTest, GarbageFramesDoNotKillTheServer) {
   // Oversized length prefix.
   {

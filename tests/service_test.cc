@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -601,6 +602,38 @@ TEST(ArrangementService, CheckpointRoundTrips) {
   recovered->Stop();
   std::remove(options.wal_path.c_str());
   std::remove(options.paged_checkpoint_path.c_str());
+}
+
+TEST(ArrangementService, CandidatePageRunsToTheLastUserForAnyCount) {
+  // first + count is computed in 64 bits: a count near INT32_MAX must
+  // clamp to the last user, not overflow into an empty page.
+  SyntheticConfig config;
+  config.num_events = 3;
+  config.num_users = 20;
+  config.dim = 4;
+  config.seed = 3;
+  ArrangementService service(GenerateSynthetic(config), {});
+  const auto snapshot = service.snapshot();
+  std::vector<ScoredCandidate> want;
+  for (UserId u = 5; u < 20; ++u) {
+    for (EventId v = 0; v < 3; ++v) {
+      const double sim = snapshot->Similarity(v, u);
+      if (sim > 0.0) want.push_back({u, v, sim});
+    }
+  }
+  ASSERT_FALSE(want.empty());
+  for (const int count : {15, 16, 1000, std::numeric_limits<int>::max() - 5,
+                          std::numeric_limits<int>::max()}) {
+    std::vector<ScoredCandidate> page;
+    ASSERT_EQ(service.Candidates(5, count, 1000, &page), SvcStatus::kOk);
+    EXPECT_EQ(page, want) << "count " << count;
+  }
+  // Scoring stops one edge past max_edges.
+  std::vector<ScoredCandidate> page;
+  ASSERT_EQ(service.Candidates(5, 15, 2, &page), SvcStatus::kOk);
+  EXPECT_EQ(page, std::vector<ScoredCandidate>(want.begin(), want.begin() + 3));
+  EXPECT_EQ(service.Candidates(5, 15, -1, &page), SvcStatus::kInvalidArgument);
+  service.Stop();
 }
 
 TEST(ServiceSnapshot, DenseViewMatchesTheSnapshot) {

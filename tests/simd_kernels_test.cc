@@ -2,12 +2,14 @@
 // (src/simd, DESIGN.md §15): every available dispatch level against the
 // per-pair scalar path, bit-for-bit in strict mode, across awkward
 // shapes (dims and row counts that are not multiples of the vector width
-// or block size), zero vectors, and denormals. The RelaxRow kernel (the
-// SSP row relaxation) is pinned the same way, level against level and
-// against the generic engine's arithmetic.
+// or block size), zero vectors, and denormals. The transport engine's
+// relaxations (RelaxRow on plain and user-tiled rows, and the RelaxFreeEvents
+// pass) are pinned the same way, level against level and against the
+// generic engine's per-arc arithmetic.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -364,7 +366,7 @@ TEST(BatchKernels, VaLowerBoundMatchesReferenceLoop) {
 
 // ------------------------------------------------------- RelaxRow kernel --
 
-// The SSP engines' improvement tolerance (flow/min_cost_flow.cc).
+// The SSP engines' improvement tolerance (tests/flow/min_cost_flow.cc).
 constexpr double kRelaxEps = 1e-9;
 constexpr int32_t kRelaxTail = 7;
 constexpr double kPosInf = std::numeric_limits<double>::infinity();
@@ -391,15 +393,16 @@ RelaxOutput RunRelaxRow(simd::Level level, const RelaxInput& in,
   const int64_t n = static_cast<int64_t>(in.cost.size());
   RelaxOutput out{in.distance, in.parent, std::vector<int32_t>(n), 0};
   out.count = simd::RelaxRow(
-      level, in.cost.data(), in.tail_potential, in.head_potential.data(),
-      in.tail_distance, kRelaxEps, out.distance.data(), out.parent.data(),
-      kRelaxTail, list ? out.improved.data() : nullptr, n);
+      level, in.cost.data(), simd::kCostTile, in.tail_potential,
+      in.head_potential.data(), in.tail_distance, kRelaxEps,
+      out.distance.data(), out.parent.data(), kRelaxTail,
+      list ? out.improved.data() : nullptr, n);
   out.improved.resize(list ? static_cast<size_t>(out.count) : 0);
   return out;
 }
 
-// One arc of the generic engine's loop (flow/min_cost_flow.cc), whose
-// clamp keeps a −0.0 reduced cost.
+// One arc of the generic engine's loop (tests/flow/min_cost_flow.cc),
+// whose clamp keeps a −0.0 reduced cost.
 RelaxOutput GenericRelaxation(const RelaxInput& in) {
   RelaxOutput out{in.distance, in.parent, {}, 0};
   for (size_t i = 0; i < in.cost.size(); ++i) {
@@ -561,6 +564,238 @@ TEST(RelaxRowKernel, EpsBoundarySignedZerosAndInfinity) {
     ExpectBitEqual(out.distance[4], kPosInf, at + " saturated arc");
     EXPECT_EQ(out.parent,
               (std::vector<int32_t>{kRelaxTail, kRelaxTail, 3, kRelaxTail, -1}))
+        << at;
+  }
+}
+
+// --------------------------------------- tiled rows and the free-event pass --
+
+// A |V| × n cost matrix in the transport engine's user-tiled layout
+// (simd/kernels.h), padded past n with +inf, beside its plain rows.
+struct TiledCosts {
+  int events = 0;
+  int64_t users = 0;
+  int64_t stride = 0;
+  std::vector<double> tiles;
+  std::vector<std::vector<double>> rows;
+
+  const double* Row(int e) const {
+    return tiles.data() + static_cast<int64_t>(e) * simd::kCostTile;
+  }
+};
+
+// Every fourth cost is +inf (a pair carrying flow), and some are −0.0.
+TiledCosts RandomTiledCosts(int events, int64_t users, Rng& rng) {
+  TiledCosts out;
+  out.events = events;
+  out.users = users;
+  out.stride = static_cast<int64_t>(events) * simd::kCostTile;
+  const int64_t tiles = (users + simd::kCostTile - 1) / simd::kCostTile;
+  out.tiles.assign(static_cast<size_t>(tiles * out.stride), kPosInf);
+  out.rows.assign(events, std::vector<double>(users));
+  for (int e = 0; e < events; ++e) {
+    for (int64_t i = 0; i < users; ++i) {
+      double cost = rng.UniformReal(0.0, 1.0);
+      switch (rng.UniformInt(0, 5)) {
+        case 0:
+          cost = kPosInf;
+          break;
+        case 1:
+          cost = -0.0;
+          break;
+        case 2:  // a short list of values, so candidates tie across events
+          cost = 0.25 * static_cast<double>(rng.UniformInt(0, 3));
+          break;
+        default:
+          break;
+      }
+      out.rows[e][i] = cost;
+      out.tiles[static_cast<size_t>((i / simd::kCostTile) * out.stride +
+                                    e * simd::kCostTile +
+                                    i % simd::kCostTile)] = cost;
+    }
+  }
+  return out;
+}
+
+// Non-negative head potentials (one in eight exactly +0.0) and current
+// distances of +inf, random, or near a candidate's ε boundary.
+void RandomHeads(int64_t users, Rng& rng, std::vector<double>* potential,
+                 std::vector<double>* distance, std::vector<int32_t>* parent) {
+  potential->clear();
+  distance->clear();
+  parent->clear();
+  for (int64_t i = 0; i < users; ++i) {
+    const double pi = rng.UniformInt(0, 7) == 0 ? 0.0 : rng.UniformReal(0, 0.5);
+    potential->push_back(pi);
+    double dist = kPosInf;
+    switch (rng.UniformInt(0, 3)) {
+      case 0:
+        dist = rng.UniformReal(0.0, 1.0);
+        break;
+      case 1:  // on the boundary of a candidate of cost 0.5
+        dist = std::max(0.5 - pi, 0.0) + kRelaxEps;
+        break;
+      default:
+        break;
+    }
+    distance->push_back(dist);
+    parent->push_back(static_cast<int32_t>(rng.UniformInt(-1, 50)));
+  }
+}
+
+TEST(RelaxRowKernel, StridedRowsMatchTheirPlainRowsAtEveryLevel) {
+  // Every event row of a tiled matrix, read through the stride, must
+  // equal the per-arc loop over the same row read plainly, at every level.
+  int improved = 0;
+  for (int64_t users : {1, 3, 4, 5, 8, 31, 33, 70}) {
+    for (int events : {1, 3, 7}) {
+      Rng rng(static_cast<uint64_t>(users) * 31 + events);
+      const TiledCosts costs = RandomTiledCosts(events, users, rng);
+      for (int e = 0; e < events; ++e) {
+        RelaxInput in;
+        in.cost = costs.rows[e];
+        in.tail_potential = e == 0 ? 0.0 : rng.UniformReal(0.0, 0.5);
+        in.tail_distance = e == 0 ? 0.0 : rng.UniformReal(0.0, 1.0);
+        RandomHeads(users, rng, &in.head_potential, &in.distance, &in.parent);
+        const RelaxOutput want = GenericRelaxation(in);
+        improved += static_cast<int>(want.count);
+        for (simd::Level level : AvailableLevels()) {
+          const std::string at = std::string(simd::LevelName(level)) +
+                                 " users=" + std::to_string(users) +
+                                 " events=" + std::to_string(events) +
+                                 " e=" + std::to_string(e);
+          RelaxOutput got{in.distance, in.parent,
+                          std::vector<int32_t>(users), 0};
+          got.count = simd::RelaxRow(
+              level, costs.Row(e), costs.stride, in.tail_potential,
+              in.head_potential.data(), in.tail_distance, kRelaxEps,
+              got.distance.data(), got.parent.data(), kRelaxTail,
+              got.improved.data(), users);
+          got.improved.resize(static_cast<size_t>(got.count));
+          ExpectSameRelaxation(got, want, at);
+        }
+      }
+    }
+  }
+  EXPECT_GT(improved, 0);
+}
+
+constexpr int32_t kPassMark = -2;
+
+// The pass as a per-arc loop: each listed event's row in turn through the
+// generic engine's relaxation from a tail at potential and distance +0.0,
+// with the mark as the parent.
+RelaxOutput GenericPass(const TiledCosts& costs,
+                        const std::vector<int32_t>& events,
+                        const std::vector<double>& potential,
+                        const std::vector<double>& distance,
+                        const std::vector<int32_t>& parent) {
+  RelaxOutput out{distance, parent, {}, 0};
+  for (const int32_t e : events) {
+    for (int64_t i = 0; i < costs.users; ++i) {
+      double reduced = costs.rows[e][i] + 0.0 - potential[i];
+      if (reduced < 0.0) reduced = 0.0;
+      const double candidate = 0.0 + reduced;
+      if (candidate + kRelaxEps < out.distance[i]) {
+        out.distance[i] = candidate;
+        out.parent[i] = kPassMark;
+        ++out.count;
+      }
+    }
+  }
+  return out;
+}
+
+RelaxOutput RunPass(simd::Level level, const TiledCosts& costs,
+                    const std::vector<int32_t>& events,
+                    const std::vector<double>& potential,
+                    const std::vector<double>& distance,
+                    const std::vector<int32_t>& parent) {
+  RelaxOutput out{distance, parent, {}, 0};
+  out.count = simd::RelaxFreeEvents(
+      level, costs.tiles.data(), costs.stride, events.data(),
+      static_cast<int64_t>(events.size()), potential.data(), kRelaxEps,
+      out.distance.data(), out.parent.data(), kPassMark, costs.users);
+  return out;
+}
+
+TEST(RelaxFreeEventsKernel, MatchesThePerArcLoopAtEveryLevel) {
+  // User counts around the tile (4) and the AVX2 group (32 users); free
+  // sets empty, sparse and full.
+  int improved = 0;
+  for (int64_t users : {0, 1, 3, 4, 5, 28, 31, 32, 33, 36, 64, 67, 101}) {
+    for (int events : {1, 6, 13}) {
+      Rng rng(static_cast<uint64_t>(users) * 7 + events);
+      const TiledCosts costs = RandomTiledCosts(events, users, rng);
+      std::vector<double> potential, distance;
+      std::vector<int32_t> parent;
+      RandomHeads(users, rng, &potential, &distance, &parent);
+      std::vector<int32_t> all, some;
+      for (int e = 0; e < events; ++e) {
+        all.push_back(e);
+        if (e % 3 != 1) some.push_back(e);
+      }
+      for (const auto& free : {std::vector<int32_t>{}, some, all}) {
+        const RelaxOutput want =
+            GenericPass(costs, free, potential, distance, parent);
+        improved += static_cast<int>(want.count);
+        for (simd::Level level : AvailableLevels()) {
+          ExpectSameRelaxation(
+              RunPass(level, costs, free, potential, distance, parent), want,
+              std::string(simd::LevelName(level)) +
+                  " users=" + std::to_string(users) +
+                  " events=" + std::to_string(events) +
+                  " free=" + std::to_string(free.size()));
+        }
+      }
+    }
+  }
+  EXPECT_GT(improved, 0);
+}
+
+TEST(RelaxFreeEventsKernel, EmptySetSignedZerosAndInfinity) {
+  // Six users, two events. User 0's costs are −0.0 at head potential
+  // +0.0 (a −0.0 reduced cost); user 1's are +inf (both pairs carry flow);
+  // user 2 ties within ε, so the second event must not take it; user 3
+  // improves on the second event only; user 4 sits at exactly cand + ε;
+  // user 5 is padding-free tail past the first tile.
+  TiledCosts costs;
+  costs.events = 2;
+  costs.users = 6;
+  costs.stride = 2 * simd::kCostTile;
+  costs.rows = {{-0.0, kPosInf, 0.5, 0.75, 0.5, 0.625},
+                {-0.0, kPosInf, 0.5 - 0.5e-9, 0.25, 0.5, 0.125}};
+  costs.tiles.assign(2 * costs.stride, kPosInf);
+  for (int e = 0; e < 2; ++e) {
+    for (int i = 0; i < 6; ++i) {
+      costs.tiles[(i / 4) * costs.stride + e * 4 + i % 4] = costs.rows[e][i];
+    }
+  }
+  const std::vector<double> potential = {0.0, 0.0, 0.0, 0.0, 0.25, 0.0};
+  const std::vector<double> distance = {kPosInf, kPosInf, kPosInf, kPosInf,
+                                        0.25 + kRelaxEps, kPosInf};
+  const std::vector<int32_t> parent = {-1, -1, -1, -1, 9, -1};
+  for (simd::Level level : AvailableLevels()) {
+    const std::string at = simd::LevelName(level);
+    const RelaxOutput none = RunPass(level, costs, {}, potential, distance,
+                                     parent);
+    EXPECT_EQ(none.count, 0) << at;
+    EXPECT_EQ(none.parent, parent) << at;
+    for (int i = 0; i < 6; ++i) {
+      ExpectBitEqual(none.distance[i], distance[i], at + " empty set");
+    }
+    const RelaxOutput out =
+        RunPass(level, costs, {0, 1}, potential, distance, parent);
+    EXPECT_EQ(out.count, 6) << at;
+    ExpectBitEqual(out.distance[0], 0.0, at + " −0.0 reduced → +0.0");
+    ExpectBitEqual(out.distance[1], kPosInf, at + " saturated pairs");
+    ExpectBitEqual(out.distance[2], 0.5, at + " ε tie keeps the first");
+    ExpectBitEqual(out.distance[3], 0.25, at + " second event improves");
+    ExpectBitEqual(out.distance[4], 0.25 + kRelaxEps, at + " on the boundary");
+    ExpectBitEqual(out.distance[5], 0.125, at + " past the first tile");
+    EXPECT_EQ(out.parent, (std::vector<int32_t>{kPassMark, -1, kPassMark,
+                                                kPassMark, 9, kPassMark}))
         << at;
   }
 }

@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -291,6 +293,38 @@ TEST(TransportSsp, MatchesGenericOnSingleEventAndSingleUser) {
         EXPECT_EQ(trace.augmentations, 0) << tag;
         EXPECT_FALSE(trace.ended_by_cost) << tag;
       });
+}
+
+TEST(TransportSsp, MatchesGenericOnEpsilonNearTies) {
+  // Costs 0.5 + k·0.3e-9: a later event improves a user's distance only
+  // when its cost is lower by more than ε = 1e-9, so the user's parent is
+  // not the event of least cost, and a parent taken by plain argmin puts
+  // a different arc on the path.
+  int refused = 0;
+  ForEachNetwork(
+      10,
+      [](uint64_t seed) {
+        return RandomNetwork(7, 21, seed, 4, 1, 3, [](Rng& rng) {
+          return 0.5 + 0.3e-9 * static_cast<double>(rng.UniformInt(0, 5));
+        });
+      },
+      [&](const Network& net, const Trace& trace, const std::string& tag) {
+        EXPECT_GT(trace.augmentations, 0) << tag;
+        // In the first search every event is free and every potential 0:
+        // count the users whose ε chain ends off the least cost.
+        for (int u = 0; u < net.users; ++u) {
+          double chain = std::numeric_limits<double>::infinity();
+          double least = chain;
+          for (int v = 0; v < net.events; ++v) {
+            const double cost =
+                net.costs[static_cast<size_t>(v) * net.users + u];
+            if (cost + 1e-9 < chain) chain = cost;
+            least = std::min(least, cost);
+          }
+          refused += chain != least;
+        }
+      });
+  EXPECT_GT(refused, 0);
 }
 
 TEST(TransportSsp, MatchesGenericWhenUserCapacityCoversAllEvents) {
