@@ -3,7 +3,7 @@
 // Spins up an ArrangementService over a synthetic instance, reads through
 // the InProcessClient, streams a burst of mutations with read-your-writes
 // (WaitForTicket), and fans a top-k recommendation sweep across the
-// thread pool — all against lock-free snapshots while the writer batches
+// thread pool — all against immutable snapshots while the writer batches
 // in the background. The TCP flavor of the same API is `geacc_serve` +
 // `SocketClient` (see bench/loadgen.cc).
 //
@@ -39,9 +39,9 @@ int main() {
               static_cast<long long>(stats.pairs), stats.max_sum);
 
   // The client speaks the wire protocol without a socket: the frames,
-  // checks and answers of a SocketClient. Underneath, a read is one
-  // atomic snapshot load — no locks, any thread; service.GetAssignments
-  // does that load without the codec.
+  // checks and answers of a SocketClient. Underneath, a read copies the
+  // published snapshot pointer — any thread, never waiting for a batch;
+  // service.GetAssignments does that without the codec.
   std::vector<geacc::EventId> events;
   client.GetAssignments(/*user=*/7, &events);
   std::printf("user 7 attends %zu events:", events.size());

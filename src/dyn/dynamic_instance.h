@@ -17,8 +17,8 @@
 // Complexity: every mutation is O(1) amortized except AddConflict
 // (O(degree) duplicate check) and Snapshot() (O(active entities ×
 // dimension + conflicts)). Thread-safety: single-writer — mutations and
-// reads must be externally serialized; immutable Snapshot() results may
-// be shared freely across threads.
+// reads must be externally serialized; immutable Snapshot() results, and
+// Clone()s that nobody mutates, may be shared freely across threads.
 
 #ifndef GEACC_DYN_DYNAMIC_INSTANCE_H_
 #define GEACC_DYN_DYNAMIC_INSTANCE_H_
@@ -49,11 +49,15 @@ class DynamicInstance {
   // is the epoch-0 state, not a mutation).
   explicit DynamicInstance(const Instance& instance);
 
-  // Move-only, like Instance.
+  // Move-only, like Instance; Clone() is the one way to copy.
   DynamicInstance(DynamicInstance&&) = default;
   DynamicInstance& operator=(DynamicInstance&&) = default;
-  DynamicInstance(const DynamicInstance&) = delete;
   DynamicInstance& operator=(const DynamicInstance&) = delete;
+
+  // An independent copy of the whole state, slot space and epoch
+  // included. The similarity object is shared: it is immutable
+  // (core/similarity.h). O(slots × dimension + conflicts).
+  DynamicInstance Clone() const { return DynamicInstance(*this); }
 
   // ----- mutations (each bumps epoch) -----
 
@@ -229,8 +233,10 @@ class DynamicInstance {
   std::string DebugString() const;
 
  private:
+  DynamicInstance(const DynamicInstance&) = default;
+
   int dim_;
-  std::unique_ptr<SimilarityFunction> similarity_;
+  std::shared_ptr<const SimilarityFunction> similarity_;
   int64_t epoch_ = 0;
 
   AttributeMatrix event_attributes_;

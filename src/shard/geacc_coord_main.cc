@@ -6,9 +6,9 @@
 //
 //   * serve mode (default): optionally bootstraps a synthetic instance
 //     (--events/--users routed through the partition map), runs an epoch
-//     repair pass every --repair_ms, and serves the svc/wire protocol on
-//     --port — the front-end a loadgen fleet points at. Exits on
-//     SIGINT/SIGTERM or after --duration_s.
+//     repair pass --repair_ms after the previous one ends, and serves the
+//     svc/wire protocol on --port — the front-end a loadgen fleet points
+//     at. Exits on SIGINT/SIGTERM or after --duration_s.
 //
 //   * replay mode (--replay trace.txt): routes the trace's initial
 //     instance and then each mutation in order, running a repair pass
@@ -266,9 +266,12 @@ int main(int argc, char** argv) {
 
   std::atomic<bool> repair_stop{false};
   std::thread repair_thread([&] {
-    auto next = std::chrono::steady_clock::now();
     while (!repair_stop.load()) {
-      next += std::chrono::milliseconds(repair_ms > 0 ? repair_ms : 500);
+      // Counted from the end of the previous pass: a pass that outlasts
+      // --repair_ms must not start the next one at once.
+      const auto next =
+          std::chrono::steady_clock::now() +
+          std::chrono::milliseconds(repair_ms > 0 ? repair_ms : 500);
       while (!repair_stop.load() && std::chrono::steady_clock::now() < next) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }

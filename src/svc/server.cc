@@ -244,15 +244,16 @@ WireResponse DispatchToService(ArrangementService* service,
       std::string parse_error;
       const std::shared_ptr<const ServiceSnapshot> snap =
           service->snapshot();
-      std::optional<Mutation> mutation =
-          ParseMutationLine(request.payload, snap->dim(), &parse_error);
+      std::optional<Mutation> mutation = ParseMutationLine(
+          request.payload, snap->instance().dim(), &parse_error);
       if (!mutation) {
         return ErrorResponse("bad mutation: " + parse_error);
       }
       // Best-effort admission check against the current snapshot, so a
       // wire client learns about obvious garbage (dead ids, bad arity)
       // synchronously — the writer still re-validates at apply time.
-      const std::string problem = ValidateMutation(*snap, *mutation);
+      const std::string problem =
+          ValidateMutation(snap->instance(), *mutation);
       if (!problem.empty()) {
         return ErrorResponse("bad mutation: " + problem);
       }

@@ -6,8 +6,9 @@
 // per connection, and hands every well-framed request to a caller-supplied
 // dispatcher, synchronously, one request/response per frame. That model
 // is deliberately simple — the service underneath is the concurrent part
-// (lock-free snapshot reads, single writer), so connection threads spend
-// their time in decode/dispatch/encode and never block each other.
+// (snapshot reads that never wait for a batch, single writer), so
+// connection threads spend their time in decode/dispatch/encode and never
+// block each other.
 //
 // Admission control: live connections are capped (Options::max_connections)
 // because a shard coordinator's fan-out plus a loadgen fleet can otherwise
@@ -114,7 +115,8 @@ bool AnswerFrame(std::string_view request_body,
 
 // Answers `request` from `service`. Bad arguments (ids out of range, a
 // mutation that does not parse or fails ValidateMutation against the
-// published snapshot) are kError replies; a full queue is kOverloaded.
+// published snapshot's instance) are kError replies; a full queue is
+// kOverloaded.
 WireResponse DispatchToService(ArrangementService* service,
                                const WireRequest& request);
 

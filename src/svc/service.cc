@@ -38,19 +38,19 @@ const char* SvcStatusName(SvcStatus status) {
   return "unknown";
 }
 
-namespace {
-
-// Shared core of the two ValidateMutation overloads: `event_ok`/`user_ok`
-// answer "in range and active" against whichever state is being checked.
-template <typename EventOk, typename UserOk>
-std::string ValidateMutationImpl(int dim, const EventOk& event_ok,
-                                 const UserOk& user_ok,
-                                 const Mutation& mutation) {
+std::string ValidateMutation(const DynamicInstance& instance,
+                             const Mutation& mutation) {
+  const auto event_ok = [&](int32_t v) {
+    return v >= 0 && v < instance.event_slots() && instance.event_active(v);
+  };
+  const auto user_ok = [&](int32_t u) {
+    return u >= 0 && u < instance.user_slots() && instance.user_active(u);
+  };
   switch (mutation.kind) {
     case Mutation::Kind::kAddUser:
     case Mutation::Kind::kAddEvent: {
-      if (static_cast<int>(mutation.attributes.size()) != dim) {
-        return StrFormat("expected %d attributes, got %d", dim,
+      if (static_cast<int>(mutation.attributes.size()) != instance.dim()) {
+        return StrFormat("expected %d attributes, got %d", instance.dim(),
                          static_cast<int>(mutation.attributes.size()));
       }
       for (const double a : mutation.attributes) {
@@ -116,35 +116,6 @@ std::string ValidateMutationImpl(int dim, const EventOk& event_ok,
       return "";
   }
   return "unknown mutation kind";
-}
-
-}  // namespace
-
-std::string ValidateMutation(const DynamicInstance& instance,
-                             const Mutation& mutation) {
-  return ValidateMutationImpl(
-      instance.dim(),
-      [&](int32_t v) {
-        return v >= 0 && v < instance.event_slots() &&
-               instance.event_active(v);
-      },
-      [&](int32_t u) {
-        return u >= 0 && u < instance.user_slots() && instance.user_active(u);
-      },
-      mutation);
-}
-
-std::string ValidateMutation(const ServiceSnapshot& snapshot,
-                             const Mutation& mutation) {
-  return ValidateMutationImpl(
-      snapshot.dim(),
-      [&](int32_t v) {
-        return snapshot.event_in_range(v) && snapshot.event_active(v);
-      },
-      [&](int32_t u) {
-        return snapshot.user_in_range(u) && snapshot.user_active(u);
-      },
-      mutation);
 }
 
 ArrangementService::ArrangementService(const Instance& initial,
@@ -319,9 +290,18 @@ std::unique_ptr<ArrangementService> ArrangementService::Recover(
 
 ArrangementService::~ArrangementService() { Stop(); }
 
+void ArrangementService::Publish(
+    std::shared_ptr<const ServiceSnapshot> next) {
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    snapshot_.swap(next);
+  }
+  // `next` now holds the previous snapshot: unless a reader still holds
+  // it, it is freed here, after the unlock.
+}
+
 void ArrangementService::PublishInitial() {
-  snapshot_.store(BuildSnapshot(*instance_, *arranger_, /*applied_seq=*/0),
-                  std::memory_order_release);
+  Publish(BuildSnapshot(*instance_, *arranger_, /*applied_seq=*/0));
 }
 
 void ArrangementService::StartWriter() {
@@ -463,7 +443,7 @@ void ArrangementService::ApplyBatch(std::vector<PendingMutation> batch) {
     GEACC_PHASE_TIMER("svc.snapshot_build");
     next = BuildSnapshot(*instance_, *arranger_, batch.back().ticket);
   }
-  snapshot_.store(std::move(next), std::memory_order_release);
+  Publish(std::move(next));
   GEACC_STATS_ADD("svc.batches", 1);
   GEACC_STATS_ADD("svc.snapshots_published", 1);
 

@@ -1,4 +1,4 @@
-// Embeddable arrangement service: lock-free snapshot reads over a
+// Embeddable arrangement service: immutable snapshot reads over a
 // single-writer, batched mutation pipeline (DESIGN.md §11).
 //
 // Architecture: the service owns a DynamicInstance + IncrementalArranger
@@ -15,8 +15,9 @@
 // admission control instead of unbounded growth; callers retry or shed.
 // Every accepted mutation gets a monotonically increasing ticket;
 // WaitForTicket() blocks until its batch is applied *and* published, and
-// reports whether validation rejected it. Reads are wait-free with respect
-// to the writer: snapshot() is one atomic shared_ptr load.
+// reports whether validation rejected it. Reads never wait for a batch:
+// snapshot() copies the published pointer under a mutex that the writer
+// holds only to swap in the next snapshot.
 //
 // Consistency contract (tested in tests/service_test.cc): the published
 // arrangement always equals a single-threaded IncrementalArranger replay
@@ -31,7 +32,6 @@
 #ifndef GEACC_SVC_SERVICE_H_
 #define GEACC_SVC_SERVICE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -118,16 +118,13 @@ struct ServiceStatsView {
 // Empty string when `mutation` is applicable to `instance` right now:
 // ids in range and active, capacities ≥ 1, attribute arity == dim, finite
 // attributes. The service runs this before every apply so wire-delivered
-// garbage degrades to kRejected instead of aborting the process.
-std::string ValidateMutation(const DynamicInstance& instance,
-                             const Mutation& mutation);
-
-// Same checks against a published snapshot. Best-effort admission control
+// garbage degrades to kRejected instead of aborting the process. Against
+// a published snapshot's instance() it is best-effort admission control
 // for front-ends (the server runs it at dispatch so a wire client gets a
-// synchronous error for obvious garbage); the writer-side check above
-// stays authoritative — a mutation can still lose a race and be rejected
-// at apply time.
-std::string ValidateMutation(const ServiceSnapshot& snapshot,
+// synchronous error for obvious garbage); the writer-side check stays
+// authoritative — a mutation can still lose a race and be rejected at
+// apply time.
+std::string ValidateMutation(const DynamicInstance& instance,
                              const Mutation& mutation);
 
 class ArrangementService {
@@ -184,11 +181,12 @@ class ArrangementService {
   // final snapshot.
   void Stop();
 
-  // ----- read path (all lock-free against the writer) -----
+  // ----- read path (never waits for a batch in flight) -----
 
   // The current published snapshot; never null.
   std::shared_ptr<const ServiceSnapshot> snapshot() const {
-    return snapshot_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    return snapshot_;
   }
 
   // Events assigned to `user`. kInvalidArgument for out-of-range ids;
@@ -248,12 +246,13 @@ class ArrangementService {
   // are logged and swallowed — the WAL still covers everything.
   void WritePagedCheckpoint();
 
+  // Swaps `next` in as the published snapshot; the previous one is freed
+  // after the swap, outside snapshot_mu_.
+  void Publish(std::shared_ptr<const ServiceSnapshot> next);
   void PublishInitial();
   void StartWriter();
   void WriterLoop();
   void ApplyBatch(std::vector<PendingMutation> batch);
-  void PublishLocked(int64_t last_ticket,
-                     const std::vector<int64_t>& rejected_now);
 
   ServiceOptions options_;
   std::unique_ptr<DynamicInstance> instance_;     // writer thread only
@@ -263,7 +262,9 @@ class ArrangementService {
   int64_t wal_mutations_ = 0;           // applied mutations in the WAL
   int batches_since_checkpoint_ = 0;    // writer thread only
 
-  std::atomic<std::shared_ptr<const ServiceSnapshot>> snapshot_;
+  // Held only to copy or swap the pointer, never while building.
+  mutable std::mutex snapshot_mu_;
+  std::shared_ptr<const ServiceSnapshot> snapshot_;
 
   mutable std::mutex mu_;
   std::condition_variable queue_cv_;    // writer waits for work

@@ -2,12 +2,14 @@
 // the epoch-snapshot store, DESIGN.md §11).
 //
 // The service writer thread materializes one ServiceSnapshot per applied
-// batch and publishes it behind an atomic shared_ptr; readers grab the
-// pointer and answer every query — assignments, attendees, top-k
-// candidates, stats — against frozen state, with no locks and no
-// coordination with the writer. A snapshot therefore owns deep copies of
-// everything it needs: attributes, capacities, active flags, the conflict
-// graph, and the arrangement adjacency in both directions.
+// batch and publishes it (svc/service.h); readers take the pointer and
+// answer every query — assignments, attendees, top-k candidates, stats —
+// against frozen state, never waiting for the writer's next batch. A
+// snapshot is the writer's own state, frozen: a DynamicInstance::Clone()
+// of the instance (attributes, capacities, active flags, conflicts, slot
+// annotations; the similarity object is shared, being immutable) and the
+// arranger's exported adjacency in both directions plus its MaxSum bits.
+// Every read forwards to those two.
 //
 // Ids are DynamicInstance slot ids (stable across the instance's whole
 // lifetime, tombstones included), so an id a client obtained at epoch e
@@ -20,24 +22,19 @@
 #ifndef GEACC_SVC_SNAPSHOT_H_
 #define GEACC_SVC_SNAPSHOT_H_
 
+#include <bit>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/arrangement.h"
-#include "core/attributes.h"
-#include "core/conflict_graph.h"
 #include "core/instance.h"
-#include "core/similarity.h"
 #include "core/types.h"
+#include "dyn/dynamic_instance.h"
+#include "dyn/incremental_arranger.h"
 
-namespace geacc {
-
-class DynamicInstance;
-class IncrementalArranger;
-class ThreadPool;
-
-namespace svc {
+namespace geacc::svc {
 
 // A candidate event for a user, ranked by the instance similarity.
 struct ScoredEvent {
@@ -62,53 +59,52 @@ class ServiceSnapshot {
   // ----- identity -----
 
   // Instance epoch (mutation count) this snapshot reflects.
-  int64_t epoch() const { return epoch_; }
+  int64_t epoch() const { return instance_.epoch(); }
   // Highest submit ticket whose outcome is visible in this snapshot.
   int64_t applied_seq() const { return applied_seq_; }
 
   // ----- instance state (slot space) -----
 
-  int dim() const { return dim_; }
-  int event_slots() const { return static_cast<int>(event_active_.size()); }
-  int user_slots() const { return static_cast<int>(user_active_.size()); }
-  int num_active_events() const { return num_active_events_; }
-  int num_active_users() const { return num_active_users_; }
+  // The writer's instance as of this snapshot.
+  const DynamicInstance& instance() const { return instance_; }
+
+  int event_slots() const { return instance_.event_slots(); }
+  int user_slots() const { return instance_.user_slots(); }
+  int num_active_events() const { return instance_.num_active_events(); }
+  int num_active_users() const { return instance_.num_active_users(); }
 
   bool event_in_range(EventId v) const {
     return v >= 0 && v < event_slots();
   }
   bool user_in_range(UserId u) const { return u >= 0 && u < user_slots(); }
-  bool event_active(EventId v) const { return event_active_[v]; }
-  bool user_active(UserId u) const { return user_active_[u]; }
-  int event_capacity(EventId v) const { return event_capacities_[v]; }
-  int user_capacity(UserId u) const { return user_capacities_[u]; }
+  int user_capacity(UserId u) const { return instance_.user_capacity(u); }
 
   double Similarity(EventId v, UserId u) const {
-    return similarity_->Compute(event_attributes_.Row(v),
-                                user_attributes_.Row(u), dim_);
+    return instance_.Similarity(v, u);
   }
-
-  const ConflictGraph& conflicts() const { return conflicts_; }
 
   // ----- arrangement state -----
 
   int64_t num_pairs() const { return num_pairs_; }
-  double max_sum() const { return max_sum_; }
+  double max_sum() const {
+    return std::bit_cast<double>(arranger_.max_sum_bits);
+  }
 
   // Events assigned to `u` (insertion order) / users attending `v`
   // (unordered). Ids must be in range; tombstoned slots yield empty lists.
   const std::vector<EventId>& AssignmentsOf(UserId u) const {
-    return user_events_[u];
+    return arranger_.user_events[u];
   }
   const std::vector<UserId>& AttendeesOf(EventId v) const {
-    return event_users_[v];
+    return arranger_.event_users[v];
   }
 
   // ----- derived reads -----
 
   // The `k` best candidate events for `u`: active, positive similarity,
-  // not already assigned to `u`, ranked (similarity desc, id asc). `u`
-  // must be in range; a tombstoned user yields an empty list.
+  // not already assigned to `u`, ranked (similarity desc, id asc). Slot
+  // availability is not consulted. `u` must be in range; a tombstoned
+  // user yields an empty list.
   std::vector<ScoredEvent> TopKEvents(UserId u, int k) const;
 
   // TopKEvents for a batch of users, fanned out over `threads` pool lanes
@@ -129,10 +125,11 @@ class ServiceSnapshot {
 
   // Compacts the snapshot into a dense immutable Instance + Arrangement
   // over the active entities (checkpoint/export path). Dense ids are
-  // assigned in ascending slot order; `dense_to_event`/`dense_to_user`
-  // record the mapping when non-null.
-  Instance ToDenseInstance(std::vector<EventId>* dense_to_event = nullptr,
-                           std::vector<UserId>* dense_to_user = nullptr) const;
+  // assigned in ascending slot order; `map` records the mapping when
+  // non-null (DynamicInstance::Snapshot).
+  Instance ToDenseInstance(DynamicInstance::SnapshotMap* map = nullptr) const {
+    return instance_.Snapshot(map);
+  }
   Arrangement ToDenseArrangement() const;
 
  private:
@@ -140,37 +137,28 @@ class ServiceSnapshot {
       const DynamicInstance& instance, const IncrementalArranger& arranger,
       int64_t applied_seq);
 
-  ServiceSnapshot() = default;
+  ServiceSnapshot(int64_t applied_seq, DynamicInstance instance,
+                  IncrementalArranger::ArrangerState arranger,
+                  int64_t num_pairs)
+      : applied_seq_(applied_seq),
+        instance_(std::move(instance)),
+        arranger_(std::move(arranger)),
+        num_pairs_(num_pairs) {}
 
-  int64_t epoch_ = 0;
-  int64_t applied_seq_ = 0;
-  int dim_ = 0;
-
-  AttributeMatrix event_attributes_;
-  AttributeMatrix user_attributes_;
-  std::vector<int> event_capacities_;
-  std::vector<int> user_capacities_;
-  std::vector<bool> event_active_;
-  std::vector<bool> user_active_;
-  int num_active_events_ = 0;
-  int num_active_users_ = 0;
-  ConflictGraph conflicts_;
-  std::unique_ptr<SimilarityFunction> similarity_;
-
-  std::vector<std::vector<EventId>> user_events_;
-  std::vector<std::vector<UserId>> event_users_;
-  int64_t num_pairs_ = 0;
-  double max_sum_ = 0.0;
+  int64_t applied_seq_;
+  DynamicInstance instance_;
+  IncrementalArranger::ArrangerState arranger_;
+  int64_t num_pairs_;
 };
 
-// Deep-copies the writer-side state into a new immutable snapshot. Called
-// by the service writer thread only; the arranger must be quiescent for
-// the duration of the call.
+// Freezes the writer-side state into a new immutable snapshot: a clone of
+// `instance` and `arranger`'s exported state. Called by the service writer
+// thread only; the arranger must be quiescent for the duration of the
+// call.
 std::shared_ptr<const ServiceSnapshot> BuildSnapshot(
     const DynamicInstance& instance, const IncrementalArranger& arranger,
     int64_t applied_seq);
 
-}  // namespace svc
-}  // namespace geacc
+}  // namespace geacc::svc
 
 #endif  // GEACC_SVC_SNAPSHOT_H_

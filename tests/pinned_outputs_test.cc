@@ -10,6 +10,11 @@
 // paged-checkpoint encoding) for one seeded trace, recorded from the
 // printf-based writers: a change to the number codec must not change a
 // byte that is already on disk.
+//
+// Last, it pins every read an ArrangementService answers from its
+// published snapshot over one seeded trace, recorded from the snapshot
+// that copied the writer's state field by field: however a snapshot is
+// built, it must answer every query with the same bytes.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +22,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,6 +35,7 @@
 #include "io/instance_io.h"
 #include "storage/page.h"
 #include "svc/paged_checkpoint.h"
+#include "svc/service.h"
 #include "svc/wal.h"
 
 namespace geacc {
@@ -320,6 +327,114 @@ TEST(PinnedOutputs, PersistenceBytes) {
     EXPECT_EQ(pin.actual.bytes, pin.expected.bytes) << pin.what;
     EXPECT_EQ(pin.actual.fnv, pin.expected.fnv) << pin.what;
   }
+}
+
+// Folds `value`'s bytes into a running FNV-1a 64.
+template <typename T>
+void Fold(uint64_t* hash, const T& value) {
+  *hash = storage::Fnv1a64(&value, sizeof(value), *hash);
+}
+
+template <typename Id>
+void FoldIds(uint64_t* hash, const std::vector<Id>& ids) {
+  Fold(hash, ids.size());
+  for (const Id id : ids) Fold(hash, id);
+}
+
+// Every read of the published state: identity, per-slot assignments,
+// attendees and top-3 candidates, one candidate page over all users, and
+// the Stats() fields that do not depend on queue timing.
+void FoldServiceReads(const svc::ArrangementService& service,
+                      uint64_t* hash) {
+  const std::shared_ptr<const svc::ServiceSnapshot> snap = service.snapshot();
+  Fold(hash, snap->epoch());
+  Fold(hash, snap->applied_seq());
+  Fold(hash, snap->num_pairs());
+  Fold(hash, Bits(snap->max_sum()));
+  for (UserId u = 0; u < snap->user_slots(); ++u) {
+    FoldIds(hash, snap->AssignmentsOf(u));
+    const std::vector<svc::ScoredEvent> top = snap->TopKEvents(u, 3);
+    Fold(hash, top.size());
+    for (const svc::ScoredEvent& scored : top) {
+      Fold(hash, scored.event);
+      Fold(hash, Bits(scored.similarity));
+    }
+  }
+  for (EventId v = 0; v < snap->event_slots(); ++v) {
+    std::vector<UserId> attendees;
+    EXPECT_EQ(service.GetAttendees(v, &attendees), svc::SvcStatus::kOk);
+    FoldIds(hash, attendees);
+  }
+  const std::vector<svc::ScoredCandidate> page =
+      snap->Candidates(0, snap->user_slots(), /*max_edges=*/1 << 20);
+  Fold(hash, page.size());
+  for (const svc::ScoredCandidate& edge : page) {
+    Fold(hash, edge.user);
+    Fold(hash, edge.event);
+    Fold(hash, Bits(edge.similarity));
+  }
+  const svc::ServiceStatsView stats = service.Stats();
+  Fold(hash, stats.epoch);
+  Fold(hash, stats.applied_seq);
+  Fold(hash, stats.pairs);
+  Fold(hash, stats.active_events);
+  Fold(hash, stats.active_users);
+  Fold(hash, stats.event_slots);
+  Fold(hash, stats.user_slots);
+  Fold(hash, Bits(stats.max_sum));
+}
+
+TEST(PinnedOutputs, ServiceSnapshotReads) {
+  TraceGenConfig config;
+  config.initial_events = 8;
+  config.initial_users = 40;
+  config.dim = 4;
+  config.num_mutations = 200;
+  config.seed = 77;
+  MutationTrace trace = GenerateTrace(config);
+
+  // Slot, removal and capacity edits on ids still live after the trace.
+  DynamicInstance replay(trace.initial);
+  for (const Mutation& mutation : trace.mutations) replay.Apply(mutation);
+  std::vector<EventId> events;
+  for (EventId v = 0; v < replay.event_slots() && events.size() < 2; ++v) {
+    if (replay.event_active(v)) events.push_back(v);
+  }
+  std::vector<UserId> users;
+  for (UserId u = 0; u < replay.user_slots() && users.size() < 3; ++u) {
+    if (replay.user_active(u)) users.push_back(u);
+  }
+  ASSERT_EQ(events.size(), 2u);
+  ASSERT_EQ(users.size(), 3u);
+  for (const Mutation& mutation :
+       {Mutation::SetEventSlot(events[0], 3),
+        Mutation::SetEventSlot(events[1], 5),
+        Mutation::SetUserAvailability(users[0], 0),
+        Mutation::SetUserAvailability(users[1], int64_t{1} << 3),
+        Mutation::SetUserAvailability(users[2], int64_t{1} << 5),
+        Mutation::RemoveUser(users[1]),
+        Mutation::SetEventCapacity(events[0], 1)}) {
+    trace.mutations.push_back(mutation);
+  }
+
+  svc::ServiceOptions options;
+  options.batch_size = 1;
+  svc::ArrangementService service(trace.initial, options);
+  uint64_t hash = storage::kFnvOffsetBasis;
+  FoldServiceReads(service, &hash);
+  for (const Mutation& mutation : trace.mutations) {
+    const svc::SubmitResult submitted = service.Submit(mutation);
+    ASSERT_EQ(submitted.status, svc::SvcStatus::kOk);
+    ASSERT_EQ(service.WaitForTicket(submitted.ticket), svc::SvcStatus::kOk);
+    FoldServiceReads(service, &hash);
+  }
+  const std::shared_ptr<const svc::ServiceSnapshot> snap = service.snapshot();
+  std::ostringstream dense;
+  WriteInstance(snap->ToDenseInstance(), dense);
+  WriteArrangement(snap->ToDenseArrangement(), dense);
+  const std::string bytes = dense.str();
+  hash = storage::Fnv1a64(bytes.data(), bytes.size(), hash);
+  EXPECT_EQ(hash, 0x81f7993f3f4db991ULL);
 }
 
 }  // namespace

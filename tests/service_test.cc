@@ -552,9 +552,9 @@ void ExpectSubnormalWriteSurvivesRecovery(const std::string& name,
   EXPECT_EQ(snapshot->num_active_users(), 21);
   EXPECT_EQ(SnapshotPairs(*snapshot), pairs_before);
   EXPECT_EQ(snapshot->max_sum(), max_sum_before);
-  std::vector<UserId> dense_to_user;
-  const Instance dense = snapshot->ToDenseInstance(nullptr, &dense_to_user);
-  ASSERT_EQ(dense_to_user.back(), 20);
+  DynamicInstance::SnapshotMap map;
+  const Instance dense = snapshot->ToDenseInstance(&map);
+  ASSERT_EQ(map.dense_to_user.back(), 20);
   EXPECT_EQ(dense.user_attributes().At(dense.num_users() - 1, 0), kSubnormal);
   EXPECT_EQ(std::filesystem::file_size(options.wal_path), wal_bytes);
   recovered->Stop();
