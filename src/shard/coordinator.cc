@@ -9,11 +9,12 @@
 #include <unordered_set>
 
 #include "algo/admission.h"
-#include "core/arrangement.h"
+#include "core/attributes.h"
+#include "core/conflict_graph.h"
 #include "io/instance_io.h"
 #include "io/trace_io.h"
 #include "obs/stats.h"
-#include "svc/service.h"
+#include "svc/server.h"
 #include "util/check.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -39,6 +40,19 @@ uint64_t DoubleBits(double value) {
   return bits;
 }
 
+// An empty service configured like a shard: it only evicts between the
+// arrangements the repair passes install.
+std::unique_ptr<svc::ArrangementService> MakeReadView(
+    const DynamicInstance& mirror) {
+  svc::ServiceOptions options;
+  options.bootstrap_full_resolve = false;
+  options.repair.refill = false;
+  const Instance empty(AttributeMatrix(0, mirror.dim()), {},
+                       AttributeMatrix(0, mirror.dim()), {}, ConflictGraph(0),
+                       mirror.similarity().Clone());
+  return std::make_unique<svc::ArrangementService>(empty, options);
+}
+
 }  // namespace
 
 ShardCoordinator::ShardCoordinator(
@@ -47,6 +61,7 @@ ShardCoordinator::ShardCoordinator(
     : clients_(std::move(clients)),
       options_(options),
       mirror_(dim, std::move(similarity)),
+      view_(MakeReadView(mirror_)),
       map_(static_cast<int>(clients_.size())),
       sent_log_(clients_.size()),
       sent_count_(clients_.size(), 0),
@@ -252,22 +267,37 @@ std::string ShardCoordinator::BarrierLocked() {
 
 std::string ShardCoordinator::Barrier() {
   std::lock_guard<std::mutex> lock(mu_);
-  return BarrierLocked();
+  const std::string error = BarrierLocked();
+  view_->Flush();
+  return error;
+}
+
+int64_t ShardCoordinator::SubmitToView(
+    const std::function<svc::SubmitResult()>& submit) {
+  for (;;) {
+    const svc::SubmitResult result = submit();
+    if (result.status == svc::SvcStatus::kOk) return result.ticket;
+    // The view stops only with the coordinator, so a full queue is the one
+    // refusal it can give.
+    GEACC_CHECK(result.status == svc::SvcStatus::kOverloaded)
+        << "read view refused a submit: " << svc::SvcStatusName(result.status);
+    view_->Flush();
+  }
 }
 
 std::string ShardCoordinator::ApplyLocked(const Mutation& mutation,
-                                          int32_t* assigned) {
-  if (assigned != nullptr) *assigned = -1;
+                                          int64_t* ticket) {
   const std::string problem = svc::ValidateMutation(mirror_, mutation);
   if (!problem.empty()) return "bad mutation: " + problem;
 
-  int32_t assigned_id = -1;
+  const int32_t added = mirror_.Apply(mutation);
+  const int64_t view_ticket =
+      SubmitToView([&] { return view_->Submit(mutation); });
   std::string error;
   switch (mutation.kind) {
     case Mutation::Kind::kAddUser: {
       const ShardMap::Placement placement = map_.PlaceUser();
-      assigned_id = mirror_.Apply(mutation);
-      GEACC_CHECK_EQ(assigned_id, map_.global_users() - 1);
+      GEACC_CHECK_EQ(added, map_.global_users() - 1);
       error = SendMutation(placement.shard, mutation);
       break;
     }
@@ -275,37 +305,26 @@ std::string ShardCoordinator::ApplyLocked(const Mutation& mutation,
     case Mutation::Kind::kSetUserCapacity:
     case Mutation::Kind::kSetUserAvailability: {
       const ShardMap::Placement placement = map_.UserHome(mutation.id);
-      mirror_.Apply(mutation);
       Mutation local = mutation;
       local.id = placement.local;
       error = SendMutation(placement.shard, local);
       break;
     }
-    case Mutation::Kind::kAddEvent:
-      assigned_id = mirror_.Apply(mutation);
-      for (int shard = 0; shard < num_shards() && error.empty(); ++shard) {
-        error = SendMutation(shard, mutation);
-      }
-      break;
-    default:  // remove_event, add_conflict, set_event_capacity,
-              // set_event_slot: event-side state is replicated
-      mirror_.Apply(mutation);
+    default:  // event-side state is replicated to every shard
       for (int shard = 0; shard < num_shards() && error.empty(); ++shard) {
         error = SendMutation(shard, mutation);
       }
       break;
   }
   if (!error.empty()) return error;
-  ++ops_;
   GEACC_STATS_ADD("shard.coord.mutations", 1);
-  if (assigned != nullptr) *assigned = assigned_id;
+  if (ticket != nullptr) *ticket = view_ticket;
   return "";
 }
 
-std::string ShardCoordinator::Apply(const Mutation& mutation,
-                                    int32_t* assigned) {
+std::string ShardCoordinator::Apply(const Mutation& mutation) {
   std::lock_guard<std::mutex> lock(mu_);
-  return ApplyLocked(mutation, assigned);
+  return ApplyLocked(mutation, nullptr);
 }
 
 std::string ShardCoordinator::ApplyInstance(const Instance& instance) {
@@ -345,129 +364,22 @@ std::string ShardCoordinator::ApplyInstance(const Instance& instance) {
   return "";
 }
 
-std::string ShardCoordinator::RetriedRead(
-    int shard, const char* op_name, const std::function<RpcStatus()>& op) {
-  RpcStatus status = Timed(shard, op);
-  if (IsTransportFailure(status)) {
-    const std::string error = RecoverShard(shard);
-    if (!error.empty()) return error;
-    status = Timed(shard, op);
-  }
-  if (status == RpcStatus::kOk) return "";
-  return StrFormat("shard %d: %s failed: %s", shard, op_name,
-                   clients_[shard]->last_error().c_str());
-}
-
-std::string ShardCoordinator::GetAssignmentsLocked(UserId user,
-                                                   std::vector<EventId>* out) {
-  out->clear();
-  if (user < 0 || user >= mirror_.user_slots()) {
-    return StrFormat("user id %d out of range", user);
-  }
-  if (!mirror_.user_active(user)) return "";
-  const ShardMap::Placement placement = map_.UserHome(user);
-  // Event ids are global already.
-  return RetriedRead(placement.shard, "get_assignments", [&] {
-    return clients_[placement.shard]->GetAssignments(placement.local, out);
-  });
-}
-
-std::string ShardCoordinator::GetAttendeesLocked(EventId event,
-                                                 std::vector<UserId>* out) {
-  out->clear();
-  if (event < 0 || event >= mirror_.event_slots()) {
-    return StrFormat("event id %d out of range", event);
-  }
-  if (!mirror_.event_active(event)) return "";
-  for (int shard = 0; shard < num_shards(); ++shard) {
-    std::vector<UserId> locals;
-    const std::string error = RetriedRead(shard, "get_attendees", [&] {
-      return clients_[shard]->GetAttendees(event, &locals);
-    });
-    if (!error.empty()) return error;
-    for (const UserId local : locals) {
-      const int32_t global = map_.ToGlobalUser(shard, local);
-      if (global < 0) {
-        return StrFormat("shard %d reported unknown local user %d", shard,
-                         local);
-      }
-      out->push_back(global);
-    }
-  }
-  // Deterministic merge: ascending global ids, independent of shard count
-  // and reply order.
-  std::sort(out->begin(), out->end());
-  return "";
-}
-
-std::vector<svc::ScoredEvent> ShardCoordinator::MergeScoredLists(
-    const std::vector<std::vector<svc::ScoredEvent>>& lists, int k) {
-  std::vector<svc::ScoredEvent> merged;
-  if (k <= 0) return merged;
-  for (const auto& list : lists) {
-    merged.insert(merged.end(), list.begin(), list.end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const svc::ScoredEvent& a, const svc::ScoredEvent& b) {
-              if (a.similarity != b.similarity) {
-                return a.similarity > b.similarity;
-              }
-              return a.event < b.event;
-            });
-  // Replicas can answer with the same event; the first (best-ranked)
-  // occurrence wins.
-  std::unordered_set<EventId> seen;
-  std::vector<svc::ScoredEvent> result;
-  for (const svc::ScoredEvent& entry : merged) {
-    if (!seen.insert(entry.event).second) continue;
-    result.push_back(entry);
-    if (static_cast<int>(result.size()) >= k) break;
-  }
-  return result;
-}
-
-std::string ShardCoordinator::TopKEventsLocked(
-    UserId user, int k, std::vector<svc::ScoredEvent>* out) {
-  out->clear();
-  if (user < 0 || user >= mirror_.user_slots() || k < 0) {
-    return StrFormat("bad top-k query (user %d, k %d)", user, k);
-  }
-  if (!mirror_.user_active(user) || k == 0) return "";
-  // Fan out to every shard that holds the user (with hash partitioning
-  // that is exactly its home shard — replicated-user topologies would
-  // contribute more lists) and merge deterministically.
-  const ShardMap::Placement placement = map_.UserHome(user);
-  std::vector<std::vector<svc::ScoredEvent>> lists;
-  for (int shard = 0; shard < num_shards(); ++shard) {
-    const int32_t local = shard == placement.shard ? placement.local : -1;
-    if (local < 0) continue;
-    std::vector<svc::ScoredEvent> list;
-    const std::string error = RetriedRead(shard, "top_k", [&] {
-      return clients_[shard]->TopKEvents(local, k, &list);
-    });
-    if (!error.empty()) return error;
-    lists.push_back(std::move(list));
-  }
-  *out = MergeScoredLists(lists, k);
-  return "";
-}
-
 std::string ShardCoordinator::GetAssignments(UserId user,
                                              std::vector<EventId>* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return GetAssignmentsLocked(user, out);
+  if (view_->GetAssignments(user, out) == svc::SvcStatus::kOk) return "";
+  return StrFormat("user id %d out of range", user);
 }
 
 std::string ShardCoordinator::GetAttendees(EventId event,
                                            std::vector<UserId>* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return GetAttendeesLocked(event, out);
+  if (view_->GetAttendees(event, out) == svc::SvcStatus::kOk) return "";
+  return StrFormat("event id %d out of range", event);
 }
 
 std::string ShardCoordinator::TopKEvents(UserId user, int k,
                                          std::vector<svc::ScoredEvent>* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return TopKEventsLocked(user, k, out);
+  if (view_->TopKEvents(user, k, out) == svc::SvcStatus::kOk) return "";
+  return StrFormat("bad top-k query (user %d, k %d)", user, k);
 }
 
 std::string ShardCoordinator::RepairPassLocked() {
@@ -662,6 +574,25 @@ std::string ShardCoordinator::RepairPassLocked() {
     }
   }
 
+  // Only a pass every shard took reaches the read view. The view scores
+  // with the mirror's similarity, and an install must carry the sum its
+  // holder recomputes; shards that score alike give the same bits.
+  double view_sum = 0.0;
+  for (const auto& [event, user] : admitted) {
+    view_sum += mirror_.Similarity(event, user);
+  }
+  if (view_sum != global_sum) {
+    GEACC_LOG(WARNING) << "shards score pairs unlike the coordinator: pass "
+                       << "MaxSum " << global_sum << ", coordinator "
+                       << view_sum;
+  }
+  const int64_t ticket = SubmitToView([&] {
+    return view_->SubmitInstall(admitted, DoubleBits(view_sum));
+  });
+  if (view_->WaitForTicket(ticket) != svc::SvcStatus::kOk) {
+    return "the read view rejected the repaired arrangement";
+  }
+
   last_pairs_ = std::move(admitted);
   global_max_sum_ = global_sum;
   ++repair_epoch_;
@@ -687,29 +618,21 @@ std::string ShardCoordinator::RepairPass() {
 
 std::string ShardCoordinator::DumpMerged(const std::string& instance_path,
                                          const std::string& arrangement_path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  DynamicInstance::SnapshotMap map;
-  const Instance dense = mirror_.Snapshot(&map);
-  if (!instance_path.empty() && !WriteInstanceToFile(dense, instance_path)) {
+  view_->Flush();
+  const std::shared_ptr<const svc::ServiceSnapshot> snap = view_->snapshot();
+  if (!instance_path.empty() &&
+      !WriteInstanceToFile(snap->ToDenseInstance(), instance_path)) {
     return "cannot write " + instance_path;
   }
-  if (arrangement_path.empty()) return "";
-  Arrangement arrangement(dense.num_events(), dense.num_users());
-  for (const auto& [event, user] : last_pairs_) {
-    const int dense_event = map.event_to_dense[event];
-    const int dense_user = map.user_to_dense[user];
-    // Entities removed since the last pass drop out of the dense view —
-    // and their pairs drop with them, same as the single-node snapshot.
-    if (dense_event < 0 || dense_user < 0) continue;
-    arrangement.Add(dense_event, dense_user);
-  }
-  if (!WriteArrangementToFile(arrangement, arrangement_path)) {
+  if (!arrangement_path.empty() &&
+      !WriteArrangementToFile(snap->ToDenseArrangement(), arrangement_path)) {
     return "cannot write " + arrangement_path;
   }
   return "";
 }
 
-svc::ShardTopologyStats ShardCoordinator::StatsLocked() {
+svc::ShardTopologyStats ShardCoordinator::Stats() {
+  std::lock_guard<std::mutex> lock(mu_);
   svc::ShardTopologyStats topology;
   topology.shard_count = num_shards();
   topology.repair_epoch = repair_epoch_;
@@ -733,11 +656,6 @@ svc::ShardTopologyStats ShardCoordinator::StatsLocked() {
   return topology;
 }
 
-svc::ShardTopologyStats ShardCoordinator::Stats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return StatsLocked();
-}
-
 svc::WireResponse ShardCoordinator::Dispatch(const svc::WireRequest& request) {
   using svc::MsgType;
   svc::WireResponse response;
@@ -749,50 +667,20 @@ svc::WireResponse ShardCoordinator::Dispatch(const svc::WireRequest& request) {
   };
   switch (request.type) {
     case MsgType::kPing:
-      response.type = MsgType::kPong;
-      return response;
-    case MsgType::kGetAssignments: {
-      const std::string error = GetAssignments(request.id, &response.ids);
-      if (!error.empty()) return error_response(error);
-      response.type = MsgType::kIdList;
-      return response;
-    }
-    case MsgType::kGetAttendees: {
-      const std::string error = GetAttendees(request.id, &response.ids);
-      if (!error.empty()) return error_response(error);
-      response.type = MsgType::kIdList;
-      return response;
-    }
-    case MsgType::kTopK: {
-      const std::string error =
-          TopKEvents(request.id, request.k, &response.scored);
-      if (!error.empty()) return error_response(error);
-      response.type = MsgType::kScoredList;
-      return response;
-    }
-    case MsgType::kStats: {
-      std::lock_guard<std::mutex> lock(mu_);
-      response.type = MsgType::kStatsReply;
-      response.stats.epoch = mirror_.epoch();
-      response.stats.applied_seq = ops_;
-      response.stats.pairs = static_cast<int64_t>(last_pairs_.size());
-      response.stats.active_events = mirror_.num_active_events();
-      response.stats.active_users = mirror_.num_active_users();
-      response.stats.event_slots = mirror_.event_slots();
-      response.stats.user_slots = mirror_.user_slots();
-      response.stats.max_sum = global_max_sum_;
-      return response;
-    }
+    case MsgType::kGetAssignments:
+    case MsgType::kGetAttendees:
+    case MsgType::kTopK:
+    case MsgType::kStats:
+      return svc::DispatchToService(view_.get(), request);
     case MsgType::kMutate: {
       std::string parse_error;
       std::optional<Mutation> mutation =
           ParseMutationLine(request.payload, mirror_.dim(), &parse_error);
       if (!mutation) return error_response("bad mutation: " + parse_error);
       std::lock_guard<std::mutex> lock(mu_);
-      const std::string error = ApplyLocked(*mutation, nullptr);
+      const std::string error = ApplyLocked(*mutation, &response.ticket);
       if (!error.empty()) return error_response(error);
       response.type = MsgType::kMutateAck;
-      response.ticket = ops_;
       return response;
     }
     case MsgType::kShardStats:

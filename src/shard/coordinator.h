@@ -6,8 +6,8 @@
 // broadcasting event-side mutations in submission order, so a global event
 // id is the same slot id on every shard. The coordinator owns the global
 // id space and keeps a *mirror* DynamicInstance — the authoritative global
-// metadata (capacities, active flags, conflicts, attributes for the dump
-// path) that admission and validation run against without extra RPCs.
+// metadata (capacities, active flags, conflicts, slot annotations) that
+// validation, routing and admission run against without extra RPCs.
 //
 // Write path: Apply() validates a global-id mutation against the mirror,
 // applies it there, then routes it — event-side mutations broadcast to all
@@ -39,16 +39,23 @@
 // the repaired global arrangement; installs are not WAL-logged — after a
 // shard failover the next pass re-installs.
 //
-// Reads fan out and merge deterministically: GetAttendees unions every
-// shard's local attendees (translated to global ids, sorted ascending);
-// TopKEvents asks each shard that holds the user and merges the ranked
-// lists with the (similarity desc, event asc) tie-break shared by the
-// repair sort.
+// Reads: the coordinator keeps a read view, one score-only
+// ArrangementService configured like a shard (empty start, no bootstrap
+// solve, no refill, no WAL). Every mutation the mirror applies is
+// submitted to it in mirror order, so its slot ids are the global ids,
+// and each successful repair pass installs the global arrangement into it
+// after the shards hold theirs. Dispatch answers kPing, kGetAssignments,
+// kGetAttendees, kTopK and kStats from the view's published snapshot
+// through DispatchToService, the single-node read path: a read takes no
+// lock and makes no shard RPC. Between passes the view evicts as one node
+// would, so a capacity cut trims the event's global roster.
 //
-// Thread-safety: every public call serializes on one internal mutex (the
-// shard clients are not thread-safe, and repair must not interleave with
-// routing); Dispatch() makes the coordinator a WireServer dispatcher, so
-// a fleet of wire clients sees a linearizable coordinator.
+// Thread-safety: writes, repair passes, Barrier() and Stats() serialize on
+// one internal mutex (the shard clients are not thread-safe, and repair
+// must not interleave with routing), so a write still waits for a pass in
+// flight. Reads never take it. They are snapshot reads, not linearizable
+// with writes: a kMutateAck carries the view's ticket, and the mutation is
+// visible once kStats reports applied_seq >= ticket, as at geacc_serve.
 
 #ifndef GEACC_SHARD_COORDINATOR_H_
 #define GEACC_SHARD_COORDINATOR_H_
@@ -69,6 +76,7 @@
 #include "exp/metrics.h"
 #include "shard/partition.h"
 #include "svc/client.h"
+#include "svc/service.h"
 #include "svc/snapshot.h"
 #include "svc/wire.h"
 
@@ -110,35 +118,29 @@ class ShardCoordinator {
 
   // ----- write path (global id space) -----
 
-  // Routes one mutation; empty string on success. `*assigned` receives
-  // the new global id for adds (-1 otherwise).
-  std::string Apply(const Mutation& mutation, int32_t* assigned = nullptr);
+  // Routes one mutation; empty string on success.
+  std::string Apply(const Mutation& mutation);
 
   // Seeds the topology from a dense instance: events in id order, then
   // users, then conflicts — so global ids equal the instance's own ids.
   std::string ApplyInstance(const Instance& instance);
 
-  // Blocks until every shard's epoch reaches its sent-mutation count.
+  // Blocks until every shard's epoch reaches its sent-mutation count and
+  // the read view has published every mutation applied so far.
   std::string Barrier();
 
-  // ----- reads (global id space) -----
+  // ----- reads (global id space), answered by the read view -----
 
   std::string GetAssignments(UserId user, std::vector<EventId>* out);
   std::string GetAttendees(EventId event, std::vector<UserId>* out);
   std::string TopKEvents(UserId user, int k,
                          std::vector<svc::ScoredEvent>* out);
 
-  // Merges per-shard ranked lists into one top-k: (similarity desc, event
-  // asc), duplicate events keep their first (best-ranked) entry. Exposed
-  // for tests; the instance method uses it on the fan-out results.
-  static std::vector<svc::ScoredEvent> MergeScoredLists(
-      const std::vector<std::vector<svc::ScoredEvent>>& lists, int k);
-
   // ----- epoch repair -----
 
   // One full conflict-resolution pass: barrier, candidate collection,
-  // global sort-all-greedy admission, per-shard install. Empty string on
-  // success.
+  // global sort-all-greedy admission, per-shard install, then the read
+  // view's install. Empty string on success.
   std::string RepairPass();
 
   // Global MaxSum of the last completed pass.
@@ -153,9 +155,9 @@ class ShardCoordinator {
 
   // ----- export / introspection -----
 
-  // Writes the merged global state — the mirror's dense snapshot and the
-  // last pass's arrangement over the same dense ids — in instance_io
-  // format, auditable by geacc_audit.
+  // Writes the read view's dense instance and arrangement, once it has
+  // published every mutation submitted so far, in instance_io format,
+  // auditable by geacc_audit.
   std::string DumpMerged(const std::string& instance_path,
                          const std::string& arrangement_path);
 
@@ -164,11 +166,11 @@ class ShardCoordinator {
   svc::ShardTopologyStats Stats();
 
   // Serve the coordinator protocol — plug into WireServer:
-  //   kMutate            parsed, validated against the mirror, routed
-  //   kGetAssignments /
-  //   kGetAttendees /
-  //   kTopK              fan-out + deterministic merge
-  //   kStats             global view (mirror shape + global MaxSum)
+  //   kPing / kGetAssignments /
+  //   kGetAttendees / kTopK /
+  //   kStats             the read view, through DispatchToService
+  //   kMutate            parsed, validated against the mirror, routed;
+  //                      acked with the read view's ticket
   //   kShardStats        full ShardTopologyStats breakdown
   //   kCandidates /
   //   kInstallArrangement  rejected — shard-only operations
@@ -200,20 +202,14 @@ class ShardCoordinator {
   // Polls shard `shard` until its epoch >= target.
   std::string BarrierShard(int shard, int64_t target_epoch);
 
-  // Runs the read `op` against `shard`; after a transport failure it
-  // recovers the shard once and runs `op` again. Empty string on success,
-  // else "shard <shard>: <op_name> failed: <last_error>".
-  std::string RetriedRead(int shard, const char* op_name,
-                          const std::function<svc::RpcStatus()>& op);
+  // Runs `submit` against the read view until its queue takes it,
+  // draining the queue whenever it is full; returns the ticket.
+  int64_t SubmitToView(const std::function<svc::SubmitResult()>& submit);
 
-  std::string GetAssignmentsLocked(UserId user, std::vector<EventId>* out);
-  std::string GetAttendeesLocked(EventId event, std::vector<UserId>* out);
-  std::string TopKEventsLocked(UserId user, int k,
-                               std::vector<svc::ScoredEvent>* out);
-  std::string ApplyLocked(const Mutation& mutation, int32_t* assigned);
+  // `*ticket` receives the read view's ticket for the mutation.
+  std::string ApplyLocked(const Mutation& mutation, int64_t* ticket);
   std::string BarrierLocked();
   std::string RepairPassLocked();
-  svc::ShardTopologyStats StatsLocked();
 
   std::vector<svc::ServiceClient*> clients_;
   CoordinatorOptions options_;
@@ -221,11 +217,12 @@ class ShardCoordinator {
 
   std::mutex mu_;
   DynamicInstance mirror_;
+  // Submitted to under mu_ only; read through its snapshot without it.
+  std::unique_ptr<svc::ArrangementService> view_;
   ShardMap map_;
   std::vector<std::vector<Mutation>> sent_log_;  // local id space
   std::vector<int64_t> sent_count_;              // == shard target epoch
   std::vector<ShardRpc> rpc_;
-  int64_t ops_ = 0;  // accepted coordinator ops (Dispatch ticket space)
 
   // Last completed repair pass.
   std::vector<std::pair<EventId, UserId>> last_pairs_;

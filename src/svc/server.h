@@ -11,8 +11,8 @@
 // block each other.
 //
 // Admission control: live connections are capped (Options::max_connections)
-// because a shard coordinator's fan-out plus a loadgen fleet can otherwise
-// spawn one thread per socket without bound. An over-limit connect is
+// because a loadgen fleet can otherwise spawn one thread per socket
+// without bound. An over-limit connect is
 // answered with a single kOverloaded frame and closed — a clean, parseable
 // refusal the client maps to RpcStatus::kOverloaded — and finished
 // connection slots are reclaimed for new peers.
@@ -29,8 +29,8 @@
 // ArrangementService. ServiceServer serves it over TCP — the single-node
 // (or single-shard) deployment — and InProcessClient (svc/client.h) sends
 // it the same frames without a socket. The shard coordinator
-// (src/shard/coordinator.h) builds its own dispatcher on the same
-// transport.
+// (src/shard/coordinator.h) answers its reads with it too, from its own
+// read view, and handles only writes and the shard operations itself.
 //
 // Thread-safety: Start/Stop from one controlling thread; Stop() (or the
 // destructor) shuts down the listener and every live connection, then

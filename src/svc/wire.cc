@@ -131,6 +131,34 @@ class Reader {
   bool ok_ = true;
 };
 
+// The ten ServiceStatsView fields in wire order: a kStatsReply body and
+// every kShardStatsReply entry carry them alike.
+void PutStats(std::string* buffer, const ServiceStatsView& stats) {
+  PutI64(buffer, stats.epoch);
+  PutI64(buffer, stats.applied_seq);
+  PutI64(buffer, stats.pairs);
+  PutI32(buffer, stats.active_events);
+  PutI32(buffer, stats.active_users);
+  PutI32(buffer, stats.event_slots);
+  PutI32(buffer, stats.user_slots);
+  PutF64(buffer, stats.max_sum);
+  PutI32(buffer, stats.queued);
+  PutI64(buffer, stats.overloads);
+}
+
+bool ReadStats(Reader* reader, ServiceStatsView* stats) {
+  return reader->ReadI64(&stats->epoch) &&
+         reader->ReadI64(&stats->applied_seq) &&
+         reader->ReadI64(&stats->pairs) &&
+         reader->ReadI32(&stats->active_events) &&
+         reader->ReadI32(&stats->active_users) &&
+         reader->ReadI32(&stats->event_slots) &&
+         reader->ReadI32(&stats->user_slots) &&
+         reader->ReadF64(&stats->max_sum) &&
+         reader->ReadI32(&stats->queued) &&
+         reader->ReadI64(&stats->overloads);
+}
+
 bool Fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
@@ -248,16 +276,7 @@ std::string EncodeResponseFrame(const WireResponse& response) {
       }
       break;
     case MsgType::kStatsReply:
-      PutI64(&body, response.stats.epoch);
-      PutI64(&body, response.stats.applied_seq);
-      PutI64(&body, response.stats.pairs);
-      PutI32(&body, response.stats.active_events);
-      PutI32(&body, response.stats.active_users);
-      PutI32(&body, response.stats.event_slots);
-      PutI32(&body, response.stats.user_slots);
-      PutF64(&body, response.stats.max_sum);
-      PutI32(&body, response.stats.queued);
-      PutI64(&body, response.stats.overloads);
+      PutStats(&body, response.stats);
       break;
     case MsgType::kMutateAck:
       PutI64(&body, response.ticket);
@@ -286,16 +305,7 @@ std::string EncodeResponseFrame(const WireResponse& response) {
       PutU32(&body, static_cast<uint32_t>(ts.shards.size()));
       for (const ShardStatsEntry& entry : ts.shards) {
         PutI32(&body, entry.shard);
-        PutI64(&body, entry.stats.epoch);
-        PutI64(&body, entry.stats.applied_seq);
-        PutI64(&body, entry.stats.pairs);
-        PutI32(&body, entry.stats.active_events);
-        PutI32(&body, entry.stats.active_users);
-        PutI32(&body, entry.stats.event_slots);
-        PutI32(&body, entry.stats.user_slots);
-        PutF64(&body, entry.stats.max_sum);
-        PutI32(&body, entry.stats.queued);
-        PutI64(&body, entry.stats.overloads);
+        PutStats(&body, entry.stats);
         PutI64(&body, entry.rpc_requests);
         PutI64(&body, entry.rpc_errors);
         PutF64(&body, entry.rpc_p50_ms);
@@ -444,16 +454,7 @@ bool DecodeResponse(const uint8_t* data, size_t size, WireResponse* out,
       break;
     }
     case MsgType::kStatsReply:
-      if (!reader.ReadI64(&out->stats.epoch) ||
-          !reader.ReadI64(&out->stats.applied_seq) ||
-          !reader.ReadI64(&out->stats.pairs) ||
-          !reader.ReadI32(&out->stats.active_events) ||
-          !reader.ReadI32(&out->stats.active_users) ||
-          !reader.ReadI32(&out->stats.event_slots) ||
-          !reader.ReadI32(&out->stats.user_slots) ||
-          !reader.ReadF64(&out->stats.max_sum) ||
-          !reader.ReadI32(&out->stats.queued) ||
-          !reader.ReadI64(&out->stats.overloads)) {
+      if (!ReadStats(&reader, &out->stats)) {
         return Fail(error, "truncated stats body");
       }
       break;
@@ -503,16 +504,7 @@ bool DecodeResponse(const uint8_t* data, size_t size, WireResponse* out,
       for (uint32_t i = 0; i < count; ++i) {
         ShardStatsEntry& entry = ts.shards[i];
         if (!reader.ReadI32(&entry.shard) ||
-            !reader.ReadI64(&entry.stats.epoch) ||
-            !reader.ReadI64(&entry.stats.applied_seq) ||
-            !reader.ReadI64(&entry.stats.pairs) ||
-            !reader.ReadI32(&entry.stats.active_events) ||
-            !reader.ReadI32(&entry.stats.active_users) ||
-            !reader.ReadI32(&entry.stats.event_slots) ||
-            !reader.ReadI32(&entry.stats.user_slots) ||
-            !reader.ReadF64(&entry.stats.max_sum) ||
-            !reader.ReadI32(&entry.stats.queued) ||
-            !reader.ReadI64(&entry.stats.overloads) ||
+            !ReadStats(&reader, &entry.stats) ||
             !reader.ReadI64(&entry.rpc_requests) ||
             !reader.ReadI64(&entry.rpc_errors) ||
             !reader.ReadF64(&entry.rpc_p50_ms) ||

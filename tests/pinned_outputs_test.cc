@@ -14,7 +14,8 @@
 // Last, it pins every read an ArrangementService answers from its
 // published snapshot over one seeded trace, recorded from the snapshot
 // that copied the writer's state field by field: however a snapshot is
-// built, it must answer every query with the same bytes.
+// built, it must answer every query with the same bytes. The same trace
+// pins what a 3-shard coordinator answers after each repair pass.
 
 #include <gtest/gtest.h>
 
@@ -28,15 +29,20 @@
 #include <vector>
 
 #include "algo/solvers.h"
+#include "core/attributes.h"
+#include "core/conflict_graph.h"
 #include "dyn/dynamic_instance.h"
 #include "dyn/incremental_arranger.h"
 #include "gen/synthetic.h"
 #include "gen/trace_gen.h"
 #include "io/instance_io.h"
+#include "shard/coordinator.h"
 #include "storage/page.h"
+#include "svc/client.h"
 #include "svc/paged_checkpoint.h"
 #include "svc/service.h"
 #include "svc/wal.h"
+#include "svc/wire.h"
 
 namespace geacc {
 namespace {
@@ -384,7 +390,9 @@ void FoldServiceReads(const svc::ArrangementService& service,
   Fold(hash, Bits(stats.max_sum));
 }
 
-TEST(PinnedOutputs, ServiceSnapshotReads) {
+// The seeded trace the read pins replay: 8 x 40, d = 4, 200 mutations,
+// then slot, removal and capacity edits on ids still live after them.
+MutationTrace PinnedReadTrace() {
   TraceGenConfig config;
   config.initial_events = 8;
   config.initial_users = 40;
@@ -393,7 +401,6 @@ TEST(PinnedOutputs, ServiceSnapshotReads) {
   config.seed = 77;
   MutationTrace trace = GenerateTrace(config);
 
-  // Slot, removal and capacity edits on ids still live after the trace.
   DynamicInstance replay(trace.initial);
   for (const Mutation& mutation : trace.mutations) replay.Apply(mutation);
   std::vector<EventId> events;
@@ -404,8 +411,9 @@ TEST(PinnedOutputs, ServiceSnapshotReads) {
   for (UserId u = 0; u < replay.user_slots() && users.size() < 3; ++u) {
     if (replay.user_active(u)) users.push_back(u);
   }
-  ASSERT_EQ(events.size(), 2u);
-  ASSERT_EQ(users.size(), 3u);
+  EXPECT_EQ(events.size(), 2u);
+  EXPECT_EQ(users.size(), 3u);
+  if (events.size() < 2 || users.size() < 3) return trace;
   for (const Mutation& mutation :
        {Mutation::SetEventSlot(events[0], 3),
         Mutation::SetEventSlot(events[1], 5),
@@ -416,6 +424,11 @@ TEST(PinnedOutputs, ServiceSnapshotReads) {
         Mutation::SetEventCapacity(events[0], 1)}) {
     trace.mutations.push_back(mutation);
   }
+  return trace;
+}
+
+TEST(PinnedOutputs, ServiceSnapshotReads) {
+  const MutationTrace trace = PinnedReadTrace();
 
   svc::ServiceOptions options;
   options.batch_size = 1;
@@ -435,6 +448,77 @@ TEST(PinnedOutputs, ServiceSnapshotReads) {
   const std::string bytes = dense.str();
   hash = storage::Fnv1a64(bytes.data(), bytes.size(), hash);
   EXPECT_EQ(hash, 0x81f7993f3f4db991ULL);
+}
+
+// Every read a 3-shard fleet answers after each repair pass over the same
+// trace, a pass every 20 mutations and one at the end: each user's
+// assignments and top-3 events, each event's attendees, and the kStats
+// fields that do not depend on queue timing. Recorded from the
+// coordinator that answered reads by asking its shards.
+TEST(PinnedOutputs, CoordinatorReadsAfterRepair) {
+  const MutationTrace trace = PinnedReadTrace();
+  const Instance& initial = trace.initial;
+  constexpr int kShards = 3;
+  svc::ServiceOptions shard_options;
+  shard_options.bootstrap_full_resolve = false;
+  shard_options.repair.refill = false;
+  std::vector<std::unique_ptr<svc::ArrangementService>> shards;
+  std::vector<std::unique_ptr<svc::InProcessClient>> owned_clients;
+  std::vector<svc::ServiceClient*> clients;
+  for (int s = 0; s < kShards; ++s) {
+    Instance empty(AttributeMatrix(0, initial.dim()), {},
+                   AttributeMatrix(0, initial.dim()), {}, ConflictGraph(0),
+                   initial.similarity().Clone());
+    shards.push_back(std::make_unique<svc::ArrangementService>(
+        std::move(empty), shard_options));
+    owned_clients.push_back(
+        std::make_unique<svc::InProcessClient>(shards.back().get()));
+    clients.push_back(owned_clients.back().get());
+  }
+  shard::ShardCoordinator coordinator(clients, initial.dim(),
+                                      initial.similarity().Clone());
+  ASSERT_EQ(coordinator.ApplyInstance(initial), "");
+
+  uint64_t hash = storage::kFnvOffsetBasis;
+  const auto repair_and_fold = [&] {
+    ASSERT_EQ(coordinator.RepairPass(), "");
+    svc::WireRequest request;
+    request.type = svc::MsgType::kStats;
+    const svc::WireResponse reply = coordinator.Dispatch(request);
+    ASSERT_EQ(reply.type, svc::MsgType::kStatsReply);
+    const svc::ServiceStatsView& stats = reply.stats;
+    Fold(&hash, stats.epoch);
+    Fold(&hash, stats.pairs);
+    Fold(&hash, stats.active_events);
+    Fold(&hash, stats.active_users);
+    Fold(&hash, stats.event_slots);
+    Fold(&hash, stats.user_slots);
+    Fold(&hash, Bits(stats.max_sum));
+    for (UserId u = 0; u < stats.user_slots; ++u) {
+      std::vector<EventId> events;
+      ASSERT_EQ(coordinator.GetAssignments(u, &events), "");
+      FoldIds(&hash, events);
+      std::vector<svc::ScoredEvent> top;
+      ASSERT_EQ(coordinator.TopKEvents(u, 3, &top), "");
+      Fold(&hash, top.size());
+      for (const svc::ScoredEvent& scored : top) {
+        Fold(&hash, scored.event);
+        Fold(&hash, Bits(scored.similarity));
+      }
+    }
+    for (EventId v = 0; v < stats.event_slots; ++v) {
+      std::vector<UserId> attendees;
+      ASSERT_EQ(coordinator.GetAttendees(v, &attendees), "");
+      FoldIds(&hash, attendees);
+    }
+  };
+  for (size_t i = 0; i < trace.mutations.size(); ++i) {
+    ASSERT_EQ(coordinator.Apply(trace.mutations[i]), "") << "mutation " << i;
+    if ((i + 1) % 20 == 0) repair_and_fold();
+  }
+  repair_and_fold();
+  for (auto& service : shards) service->Stop();
+  EXPECT_EQ(hash, 0x26f54bf396212879ULL);
 }
 
 }  // namespace

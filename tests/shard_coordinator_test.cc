@@ -1,17 +1,24 @@
-// Tests for the shard coordinator (shard/coordinator.h): deterministic
-// read-merge tie-breaks, routing determinism across coordinator
+// Tests for the shard coordinator (shard/coordinator.h): top-k tie-breaks
+// at every shard count, routing determinism across coordinator
 // incarnations, cross-shard conflict admission/rejection accounting,
 // rejection of malformed shard candidates, candidate pages that fit the
-// wire cap, and the headline contract — a sharded repair pass is
+// wire cap, reads served from the coordinator's read view (they never
+// wait for a repair pass, and a capacity cut between passes trims the
+// global roster), and the headline contract — a sharded repair pass is
 // bit-identical to the single-node greedy-sortall solve of the same
 // instance (DESIGN.md §16).
 
 #include "shard/coordinator.h"
 
 #include <algorithm>
+#include <chrono>
+#include <cstdio>
 #include <functional>
+#include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,7 +31,9 @@
 #include "core/conflict_graph.h"
 #include "core/instance.h"
 #include "dyn/mutation.h"
+#include "core/similarity.h"
 #include "gen/synthetic.h"
+#include "io/instance_io.h"
 #include "shard/partition.h"
 #include "svc/client.h"
 #include "svc/service.h"
@@ -102,53 +111,6 @@ class Topology {
   std::unique_ptr<ShardCoordinator> coordinator_;
 };
 
-TEST(MergeScoredLists, OrdersBySimilarityThenEventId) {
-  const std::vector<std::vector<ScoredEvent>> lists = {
-      {{5, 0.9}, {3, 0.5}},
-      {{2, 0.9}, {7, 0.1}},
-  };
-  const std::vector<ScoredEvent> merged =
-      ShardCoordinator::MergeScoredLists(lists, 10);
-  const std::vector<ScoredEvent> expected = {
-      {2, 0.9}, {5, 0.9}, {3, 0.5}, {7, 0.1}};
-  EXPECT_EQ(merged, expected);
-}
-
-TEST(MergeScoredLists, HonorsKAndDropsDuplicateEvents) {
-  const std::vector<std::vector<ScoredEvent>> lists = {
-      {{4, 0.8}, {1, 0.3}},
-      {{4, 0.8}, {9, 0.6}, {1, 0.3}},
-  };
-  // Event 4 and event 1 each appear in both lists; the merge keeps one
-  // entry per event.
-  const std::vector<ScoredEvent> full =
-      ShardCoordinator::MergeScoredLists(lists, 10);
-  const std::vector<ScoredEvent> expected = {{4, 0.8}, {9, 0.6}, {1, 0.3}};
-  EXPECT_EQ(full, expected);
-
-  const std::vector<ScoredEvent> top2 =
-      ShardCoordinator::MergeScoredLists(lists, 2);
-  const std::vector<ScoredEvent> expected2 = {{4, 0.8}, {9, 0.6}};
-  EXPECT_EQ(top2, expected2);
-
-  EXPECT_TRUE(ShardCoordinator::MergeScoredLists({}, 5).empty());
-  EXPECT_TRUE(ShardCoordinator::MergeScoredLists(lists, 0).empty());
-}
-
-TEST(MergeScoredLists, StableUnderListPermutation) {
-  const std::vector<ScoredEvent> a = {{3, 0.7}, {0, 0.7}, {8, 0.2}};
-  const std::vector<ScoredEvent> b = {{1, 0.7}, {5, 0.4}};
-  const std::vector<ScoredEvent> forward =
-      ShardCoordinator::MergeScoredLists({a, b}, 10);
-  const std::vector<ScoredEvent> backward =
-      ShardCoordinator::MergeScoredLists({b, a}, 10);
-  EXPECT_EQ(forward, backward);
-  // Ties at 0.7 break on event id ascending, regardless of source list.
-  const std::vector<ScoredEvent> expected = {
-      {0, 0.7}, {1, 0.7}, {3, 0.7}, {5, 0.4}, {8, 0.2}};
-  EXPECT_EQ(forward, expected);
-}
-
 Instance SmallInstance(uint64_t seed, int events, int users) {
   SyntheticConfig config;
   config.num_events = events;
@@ -159,6 +121,127 @@ Instance SmallInstance(uint64_t seed, int events, int users) {
   config.user_capacity = DistributionSpec::Uniform(1.0, 3.0);
   config.seed = seed;
   return GenerateSynthetic(config);
+}
+
+// Six events at three distances from the origin, two users there: every
+// event ties exactly with another, and the top-k answers must break each
+// tie on the event id.
+Instance TiedInstance() {
+  InstanceBuilder builder;
+  for (const std::vector<double>& row :
+       {std::vector<double>{3.0, 0.0}, {1.0, 0.0}, {0.0, 3.0},
+        {0.0, 1.0}, {2.0, 0.0}, {0.0, 2.0}}) {
+    builder.AddEvent(row, 1);
+  }
+  builder.AddUser({0.0, 0.0}, 1);
+  builder.AddUser({0.0, 0.0}, 1);
+  builder.SetSimilarity(MakeSimilarity("euclidean", 10.0));
+  return builder.Build();
+}
+
+// Every active event with positive similarity to `user` that `user` does
+// not hold, ranked (similarity desc, event asc).
+std::vector<ScoredEvent> RankedEvents(const Instance& instance, UserId user,
+                                      const std::vector<EventId>& held) {
+  std::vector<ScoredEvent> ranked;
+  for (EventId v = 0; v < instance.num_events(); ++v) {
+    if (std::find(held.begin(), held.end(), v) != held.end()) continue;
+    const double sim = instance.Similarity(v, user);
+    if (sim > 0.0) ranked.push_back({v, sim});
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const ScoredEvent& a, const ScoredEvent& b) {
+              if (a.similarity != b.similarity) {
+                return a.similarity > b.similarity;
+              }
+              return a.event < b.event;
+            });
+  return ranked;
+}
+
+// The MergeScoredLists cases hold the coordinator's TopKEvents to the
+// contract its per-shard merge once had: (similarity desc, event asc),
+// at most k entries, each event once, whatever the shard count.
+TEST(MergeScoredLists, OrdersBySimilarityThenEventId) {
+  const Instance instance = TiedInstance();
+  Topology topology(3, instance);
+  ShardCoordinator& coordinator = topology.coordinator();
+  ASSERT_EQ(coordinator.ApplyInstance(instance), "");
+  ASSERT_EQ(coordinator.Barrier(), "");
+  const double near = instance.Similarity(1, 0);
+  const double middle = instance.Similarity(4, 0);
+  const double far = instance.Similarity(0, 0);
+  ASSERT_GT(far, 0.0);
+  const std::vector<ScoredEvent> expected = {
+      {1, near}, {3, near}, {4, middle}, {5, middle}, {0, far}, {2, far}};
+  for (UserId user = 0; user < instance.num_users(); ++user) {
+    std::vector<ScoredEvent> ranked;
+    ASSERT_EQ(coordinator.TopKEvents(user, 10, &ranked), "");
+    EXPECT_EQ(ranked, expected) << "user " << user;
+  }
+}
+
+TEST(MergeScoredLists, HonorsKAndDropsDuplicateEvents) {
+  const Instance instance = TiedInstance();
+  Topology topology(3, instance);
+  ShardCoordinator& coordinator = topology.coordinator();
+  ASSERT_EQ(coordinator.ApplyInstance(instance), "");
+  ASSERT_EQ(coordinator.RepairPass(), "");
+  for (UserId user = 0; user < instance.num_users(); ++user) {
+    SCOPED_TRACE("user " + std::to_string(user));
+    std::vector<EventId> held;
+    ASSERT_EQ(coordinator.GetAssignments(user, &held), "");
+    // Each user holds one event after the pass, and the ranking skips it.
+    ASSERT_EQ(held.size(), 1u);
+    const std::vector<ScoredEvent> all = RankedEvents(instance, user, held);
+    for (const int k : {0, 1, 2, 3, 5, 10}) {
+      std::vector<ScoredEvent> ranked;
+      ASSERT_EQ(coordinator.TopKEvents(user, k, &ranked), "");
+      const size_t keep = std::min<size_t>(all.size(), k);
+      EXPECT_EQ(ranked, std::vector<ScoredEvent>(all.begin(),
+                                                 all.begin() + keep))
+          << "k " << k;
+      std::vector<EventId> events;
+      for (const ScoredEvent& entry : ranked) events.push_back(entry.event);
+      std::sort(events.begin(), events.end());
+      EXPECT_EQ(std::adjacent_find(events.begin(), events.end()),
+                events.end())
+          << "k " << k;
+    }
+    std::vector<ScoredEvent> ranked;
+    EXPECT_NE(coordinator.TopKEvents(user, -1, &ranked), "");
+  }
+}
+
+TEST(MergeScoredLists, StableUnderListPermutation) {
+  for (const uint64_t seed : {1u, 2u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Instance instance = SmallInstance(seed, /*events=*/8,
+                                            /*users=*/30);
+    std::vector<std::vector<std::vector<ScoredEvent>>> answers;
+    for (const int shards : {2, 3, 4}) {
+      Topology topology(shards, instance);
+      ShardCoordinator& coordinator = topology.coordinator();
+      ASSERT_EQ(coordinator.ApplyInstance(instance), "");
+      ASSERT_EQ(coordinator.RepairPass(), "");
+      std::vector<std::vector<ScoredEvent>> answer;
+      for (UserId user = 0; user < instance.num_users(); ++user) {
+        std::vector<EventId> held;
+        ASSERT_EQ(coordinator.GetAssignments(user, &held), "");
+        std::vector<ScoredEvent> ranked;
+        ASSERT_EQ(coordinator.TopKEvents(user, 4, &ranked), "");
+        std::vector<ScoredEvent> expected =
+            RankedEvents(instance, user, held);
+        expected.resize(std::min<size_t>(expected.size(), 4));
+        EXPECT_EQ(ranked, expected)
+            << "shards " << shards << " user " << user;
+        answer.push_back(std::move(ranked));
+      }
+      answers.push_back(std::move(answer));
+    }
+    EXPECT_EQ(answers[0], answers[1]);
+    EXPECT_EQ(answers[0], answers[2]);
+  }
 }
 
 TEST(ShardCoordinator, RoutingIsDeterministicAcrossIncarnations) {
@@ -365,7 +448,7 @@ TEST(ShardCoordinator, ReadsMatchTheRepairedArrangement) {
     ASSERT_EQ(coordinator.GetAttendees(event, &users), "");
     EXPECT_EQ(users, attendees[event]) << "event " << event;
   }
-  // TopKEvents fans out and merges: descending similarity, event-id
+  // TopKEvents ranks by descending similarity with an event-id
   // tie-break, no duplicates, at most k entries.
   for (UserId user = 0; user < instance.num_users(); ++user) {
     std::vector<ScoredEvent> ranked;
@@ -378,6 +461,146 @@ TEST(ShardCoordinator, ReadsMatchTheRepairedArrangement) {
            ranked[i - 1].event < ranked[i].event);
       EXPECT_TRUE(ordered) << "user " << user << " position " << i;
     }
+  }
+}
+
+// Between passes an event's capacity cut must trim its global roster,
+// not each shard's slice of it: cut an event whose roster spans shards to
+// its largest per-shard slice, and the fleet must keep exactly that many
+// attendees, the most similar ones (IncrementalArranger's rule: ties
+// evict the larger id).
+TEST(ShardCoordinator, CapacityCutBetweenPassesEvictsAcrossShards) {
+  constexpr int kShards = 3;
+  int cuts = 0;
+  for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Instance instance = SmallInstance(seed, /*events=*/6,
+                                            /*users=*/60);
+    Topology topology(kShards, instance);
+    ShardCoordinator& coordinator = topology.coordinator();
+    ASSERT_EQ(coordinator.ApplyInstance(instance), "");
+    ASSERT_EQ(coordinator.RepairPass(), "");
+
+    std::vector<std::vector<UserId>> rosters(instance.num_events());
+    for (const auto& [event, user] : coordinator.arrangement()) {
+      rosters[event].push_back(user);
+    }
+    // The longest roster that no one shard holds whole.
+    EventId cut = kInvalidEvent;
+    int capacity = 0;
+    for (EventId v = 0; v < instance.num_events(); ++v) {
+      std::vector<int> slice(kShards, 0);
+      for (const UserId user : rosters[v]) ++slice[HomeShard(user, kShards)];
+      const int largest = *std::max_element(slice.begin(), slice.end());
+      const int size = static_cast<int>(rosters[v].size());
+      if (largest < size &&
+          (cut < 0 || size > static_cast<int>(rosters[cut].size()))) {
+        cut = v;
+        capacity = largest;
+      }
+    }
+    if (cut < 0) continue;
+    ++cuts;
+    std::vector<UserId> kept = rosters[cut];
+    std::sort(kept.begin(), kept.end(), [&](UserId x, UserId y) {
+      const double sx = instance.Similarity(cut, x);
+      const double sy = instance.Similarity(cut, y);
+      if (sx != sy) return sx > sy;
+      return x < y;
+    });
+    kept.resize(capacity);
+    std::sort(kept.begin(), kept.end());
+
+    ASSERT_EQ(coordinator.Apply(Mutation::SetEventCapacity(cut, capacity)),
+              "");
+    ASSERT_EQ(coordinator.Barrier(), "");
+    std::vector<UserId> attendees;
+    ASSERT_EQ(coordinator.GetAttendees(cut, &attendees), "");
+    EXPECT_EQ(attendees, kept) << "event " << cut << " cut to " << capacity;
+
+    const std::string prefix = ::testing::TempDir() + "capacity_cut_" +
+                               std::to_string(seed);
+    ASSERT_EQ(coordinator.DumpMerged(prefix + ".instance",
+                                     prefix + ".arrangement"),
+              "");
+    std::string error;
+    const std::optional<Instance> dense =
+        ReadInstanceFromFile(prefix + ".instance", &error);
+    ASSERT_TRUE(dense.has_value()) << error;
+    const std::optional<Arrangement> dumped =
+        ReadArrangementFromFile(prefix + ".arrangement", *dense, &error);
+    ASSERT_TRUE(dumped.has_value()) << error;
+    const verify::AuditReport audit =
+        verify::AuditArrangement(*dense, *dumped);
+    EXPECT_TRUE(audit.ok()) << audit.Summary();
+    std::remove((prefix + ".instance").c_str());
+    std::remove((prefix + ".arrangement").c_str());
+  }
+  // Some seed must have a roster that spans shards, or the loop checked
+  // nothing.
+  EXPECT_GT(cuts, 0);
+}
+
+// A read issued while a repair pass is in flight must not wait for it:
+// the pass is held inside its first candidate page until every read has
+// answered.
+TEST(ShardCoordinator, ReadsDoNotWaitForARepairPass) {
+  constexpr auto kReadBound = std::chrono::seconds(5);
+  const Instance instance = SmallInstance(/*seed=*/3, /*events=*/6,
+                                          /*users=*/30);
+  constexpr int kShards = 3;
+  Topology topology(kShards, instance);
+  ShardCoordinator& coordinator = topology.coordinator();
+  ASSERT_EQ(coordinator.ApplyInstance(instance), "");
+  ASSERT_EQ(coordinator.RepairPass(), "");
+
+  std::promise<void> entered;
+  std::once_flag entered_once;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  bool release_sent = false;
+  const auto release_pass = [&] {
+    if (!release_sent) release.set_value();
+    release_sent = true;
+  };
+  for (int shard = 0; shard < kShards; ++shard) {
+    topology.client(shard).corrupt = [&](std::vector<ScoredCandidate>*) {
+      std::call_once(entered_once, [&] { entered.set_value(); });
+      released.wait();
+    };
+  }
+  std::future<std::string> pass = std::async(
+      std::launch::async, [&coordinator] { return coordinator.RepairPass(); });
+  entered.get_future().wait();
+
+  for (const svc::MsgType type :
+       {svc::MsgType::kGetAssignments, svc::MsgType::kGetAttendees,
+        svc::MsgType::kTopK, svc::MsgType::kStats}) {
+    svc::WireRequest request;
+    request.type = type;
+    request.id = 0;
+    request.k = 3;
+    std::future<svc::WireResponse> read =
+        std::async(std::launch::async, [&coordinator, request] {
+          return coordinator.Dispatch(request);
+        });
+    if (read.wait_for(kReadBound) != std::future_status::ready) {
+      ADD_FAILURE() << svc::MsgTypeName(type)
+                    << " waited for the repair pass";
+      release_pass();
+    }
+    EXPECT_NE(read.get().type, svc::MsgType::kError)
+        << svc::MsgTypeName(type);
+    if (!release_sent) {
+      EXPECT_EQ(pass.wait_for(std::chrono::seconds(0)),
+                std::future_status::timeout)
+          << "the pass finished before the reads were checked";
+    }
+  }
+  release_pass();
+  EXPECT_EQ(pass.get(), "");
+  for (int shard = 0; shard < kShards; ++shard) {
+    topology.client(shard).corrupt = nullptr;
   }
 }
 
